@@ -346,7 +346,7 @@ let pass2 st str =
               (fun () -> self.Ast_iterator.expr self body);
             true
         | _ -> false)
-    | [ "Locked"; "wait" ], _ -> (
+    | [ "Locked"; ("wait" | "wait_until") ], _ -> (
         match (pos_arg 0 args, st.held) with
         | Some le, (hk, _) :: _ -> (
             match lock_key le with
@@ -354,9 +354,9 @@ let pass2 st str =
                 report st.reporter ~code:"C402"
                   ~loc:(loc_of e.pexp_loc st.file)
                   (Printf.sprintf
-                     "Locked.wait on foreign lock %S while holding %s: a \
-                      wait must target the innermost held lock"
-                     k (describe_held st));
+                     "%s on foreign lock %S while holding %s: a wait must \
+                      target the innermost held lock"
+                     (String.concat "." path) k (describe_held st));
                 false
             | _ -> false)
         | _ -> false)

@@ -195,19 +195,38 @@ let with_lock l f =
     Fun.protect ~finally:(fun () -> Mutex.unlock l.l_mutex) f
   end
 
-let wait l =
-  if Atomic.get checking_flag then check_wait l "intrinsic condition";
-  Condition.wait l.l_cond l.l_mutex
+(* Waiting releases the lock, so the checker requires it to be the
+   newest one held. OCaml's [Condition] has no timed wait, so a wait
+   with a deadline polls: the lock is released for one bounded sleep
+   and re-taken, and the caller re-checks its predicate. Every deadline
+   wait in the runtime goes through here, so this constant is the one
+   place the granularity of a timeout is decided. *)
+let poll_interval = 0.005
 
+let timed l cond what deadline =
+  if Atomic.get checking_flag then check_wait l what;
+  match deadline with
+  | None ->
+      Condition.wait cond l.l_mutex;
+      true
+  | Some d ->
+      let remaining = d -. Unix.gettimeofday () in
+      remaining > 0.
+      && begin
+           Mutex.unlock l.l_mutex;
+           Thread.delay (Float.min poll_interval remaining);
+           Mutex.lock l.l_mutex;
+           true
+         end
+
+let wait_until l deadline = timed l l.l_cond "intrinsic condition" deadline
+let wait l = ignore (wait_until l None)
 let signal l = Condition.signal l.l_cond
 let broadcast l = Condition.broadcast l.l_cond
 
 let new_cond l = { c_owner = l; c_cond = Condition.create () }
-
-let wait_c c =
-  if Atomic.get checking_flag then check_wait c.c_owner "condition";
-  Condition.wait c.c_cond c.c_owner.l_mutex
-
+let wait_until_c c deadline = timed c.c_owner c.c_cond "condition" deadline
+let wait_c c = ignore (wait_until_c c None)
 let signal_c c = Condition.signal c.c_cond
 let broadcast_c c = Condition.broadcast c.c_cond
 

@@ -33,7 +33,7 @@ module Rank : sig
   val mem_listener : int (* 26 — in-memory listener accept queue *)
   val tcp_channel : int (* 25 — tcp channel/listener close guards *)
   val pipe : int (* 24 — in-memory byte pipes *)
-  val fault : int (* 23 — fault-injection plans and counters *)
+  val fault : int (* 23 — fault-injection plans, counters, injected stalls *)
   val metrics : int (* 20 — Obs histogram/counter tables *)
   val trace_ids : int (* 15 — trace/span id generator *)
   val objref_cache : int (* 12 — memoized Objref.to_string cache *)
@@ -71,6 +71,21 @@ type cond
 
 val new_cond : t -> cond
 val wait_c : cond -> unit
+
+val wait_until : t -> float option -> bool
+(** [wait_until l deadline] is {!wait} bounded by an absolute
+    [Unix.gettimeofday] instant. [None] is exactly {!wait} and returns
+    [true]. [Some d] returns [false] once [d] has passed, with the lock
+    still held and never released; otherwise it releases the lock for
+    one sleep of at most the module's 5 ms poll interval (less when
+    the deadline is nearer), re-acquires it and returns [true]. A
+    signal does not cut that sleep short, so callers loop: re-check
+    the predicate, and give up when this returns [false]. The same
+    checker rule as {!wait} applies: [l] must be the newest lock held. *)
+
+val wait_until_c : cond -> float option -> bool
+(** {!wait_until} on an extra condition variable. *)
+
 val signal_c : cond -> unit
 val broadcast_c : cond -> unit
 

@@ -62,9 +62,9 @@ let default_server_policy =
    thread correlates replies to waiting callers by request id, so many
    calls from many threads pipeline over one connection (the server has
    decoded pipelined requests and replied out of order since the worker
-   pool landed — this unlocks the client half). [max_in_flight = 1]
-   reproduces the historical serialized behaviour: the connection mutex
-   is held across the whole roundtrip. *)
+   pool landed — this unlocks the client half). [max_in_flight = 1] is
+   the same demultiplexer with one slot: calls on the connection go one
+   at a time. *)
 type mux = { max_in_flight : int }
 
 let default_mux = { max_in_flight = 32 }
@@ -148,15 +148,13 @@ type t = {
   mutable forwards_followed : int;  (* Locate_forward redirects honoured *)
 }
 
-(* One cached outbound connection. [conn_mutex] serializes sends (each
-   framed message must hit the wire whole). [mux = None]: the serialized
-   model — the same mutex is then held across the entire roundtrip, so
-   receives are serialized too. [mux = Some]: the reply demultiplexer
-   below owns all receives and the mutex covers only the send. *)
+(* One cached outbound connection. [conn_lock] serializes sends (each
+   framed message must hit the wire whole); the reply demultiplexer
+   below owns all receives. *)
 and conn = {
   comm : Communicator.t;
   conn_lock : Locked.t;  (* send lock; rank [communicator] *)
-  mux : mux_state option;
+  mux : mux_state;
   nego_lock : Locked.t;  (* negotiation gate; rank [nego] *)
   mutable nego : nego_state;  (* guarded by [nego_lock] *)
   c_codec : string ref;
@@ -470,8 +468,11 @@ let serve_connection t sc =
     | Some rep -> send_msg (Protocol.Reply rep)
     | None -> ()
   in
+  (* The broadcast wakes a thread-per-connection drain in [shutdown]. *)
   let dec_inflight () =
-    with_lock t (fun () -> sc.s_inflight <- sc.s_inflight - 1)
+    with_lock t (fun () ->
+        sc.s_inflight <- sc.s_inflight - 1;
+        Locked.broadcast t.lock)
   in
   let dispatch (req : Protocol.request) =
     let received_at = Unix.gettimeofday () in
@@ -789,10 +790,13 @@ let mux_gauge t mx n = Obs.set_gauge t.obs ~name:mx.mx_gauge (float_of_int n)
    (later deaths keep the original error); the close also unblocks a
    reader parked inside a transport read. The connection is NOT removed
    from the cache here: the next caller that picks it up fails fast in
-   send phase, burns one retry-classified attempt, and reconnects —
-   exactly the stale-cached-connection semantics the serialized path
-   always had. *)
-let mux_kill conn mx err =
+   send phase, burns one retry-classified attempt, and reconnects.
+   Closing a connection must go through here: besides closing the
+   channel it wakes the waiters AND the reader thread, which may be
+   parked on the demux condvar (idle, nothing in flight) where a plain
+   close would never reach it. *)
+let close_connection conn err =
+  let mx = conn.mux in
   let first =
     Locked.with_lock mx.mx_lock (fun () ->
         let first = mx.mx_dead = None in
@@ -801,15 +805,6 @@ let mux_kill conn mx err =
         first)
   in
   if first then try Communicator.close conn.comm with _ -> ()
-
-(* Closing a muxed connection must go through [mux_kill]: besides
-   closing the channel it wakes the waiters AND the reader thread, which
-   may be parked on the demux condvar (idle, nothing in flight) where a
-   plain close would never reach it. *)
-let close_connection c err =
-  match c.mux with
-  | Some mx -> mux_kill c mx err
-  | None -> ( try Communicator.close c.comm with _ -> ())
 
 (* Shutdown in three phases. Phase 1 stops intake: the listener closes
    and [draining] makes every connection reject new requests with a
@@ -846,26 +841,18 @@ let shutdown ?drain_deadline t =
         | Some pool -> Pool.drain pool ~deadline
         | None ->
             (* Thread-per-connection mode: no queue to drain, only the
-               per-connection in-flight counts to poll. *)
-            let inflight () =
-              with_lock t (fun () ->
-                  List.fold_left (fun acc c -> acc + c.s_inflight) 0 t.accepted)
-            in
-            let d = Unix.gettimeofday () +. grace in
-            let rec wait () =
-              let n = inflight () in
-              if n = 0 then `Drained
-              else
-                let remaining = d -. Unix.gettimeofday () in
-                if remaining <= 0. then `Aborted n
-                else begin
-                  (* Tick bounded by the actual deadline, not a fixed
-                     interval: a near deadline fires promptly. *)
-                  Thread.delay (Float.min 0.005 remaining);
-                  wait ()
-                end
-            in
-            wait ()
+               per-connection in-flight counts, which [dec_inflight]
+               broadcasts on the ORB lock. *)
+            with_lock t (fun () ->
+                let rec wait () =
+                  let n =
+                    List.fold_left (fun acc c -> acc + c.s_inflight) 0 t.accepted
+                  in
+                  if n = 0 then `Drained
+                  else if Locked.wait_until t.lock deadline then wait ()
+                  else `Aborted n
+                in
+                wait ())
       in
       (match result with
       | `Drained ->
@@ -935,14 +922,15 @@ let export_cached t ~key ~type_id build =
    every in-flight call; per-call deadlines are enforced at the waiter's
    condition variable instead, and an expired waiter kills the whole
    connection (below). *)
-let mux_reader t conn mx =
+let mux_reader t conn =
+  let mx = conn.mux in
   (* Park until the connection owes us a reply. Issuing the blocking
      transport read only while a call is registered keeps idle
-     connections read-free — exactly the serialized client's behavior,
-     which both the fault-injection plans (a [Stall_read] drawn at
-     read-call time must land on the read for the call under test, not
-     on a reader that has been parked inside the transport since the
-     previous call) and the thread accounting at shutdown depend on.
+     connections read-free, which both the fault-injection plans (a
+     [Stall_read] drawn at read-call time must land on the read for the
+     call under test, not on a reader that has been parked inside the
+     transport since the previous call) and the thread accounting at
+     shutdown depend on.
      Returns [false] when the connection dies while idle. *)
   let await_work () =
     Locked.with_lock mx.mx_lock (fun () ->
@@ -990,7 +978,7 @@ let mux_reader t conn mx =
              Poisoned: kill, so no later call can be handed the wrong
              payload. *)
           Obs.incr t.obs ~name:"client:orphan_replies";
-          mux_kill conn mx
+          close_connection conn
             (System_exception
                (Printf.sprintf
                   "reply id %d does not match any in-flight request \
@@ -998,9 +986,9 @@ let mux_reader t conn mx =
                   rep_id))
         end
     | Protocol.Request _ | Protocol.Locate_request _ ->
-        mux_kill conn mx
+        close_connection conn
           (System_exception "peer sent a non-reply where a reply was expected")
-    | exception e -> mux_kill conn mx e
+    | exception e -> close_connection conn e
   in
   loop ()
 
@@ -1029,17 +1017,14 @@ let get_connection t endpoint =
       let c_codec = ref t.proto.Protocol.name in
       let chan = meter_channel t (endpoint_key endpoint) c_codec chan in
       let mux =
-        if t.mux_cfg.max_in_flight <= 1 then None
-        else
-          Some
-            {
-              mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
-              mx_pending = Hashtbl.create 16;
-              mx_dead = None;
-              mx_inflight = 0;
-              mx_limit = t.mux_cfg.max_in_flight;
-              mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
-            }
+        {
+          mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
+          mx_pending = Hashtbl.create 16;
+          mx_dead = None;
+          mx_inflight = 0;
+          mx_limit = max 1 t.mux_cfg.max_in_flight;
+          mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
+        }
       in
       let c =
         { comm = Communicator.wrap t.proto chan;
@@ -1064,10 +1049,7 @@ let get_connection t endpoint =
           (* The reader starts only for the connection that actually
              enters the cache — a race loser is closed before any
              request can be sent on it. *)
-          (match c.mux with
-          | Some mx ->
-              ignore (Locked.spawn "orb.mux_reader" (fun () -> mux_reader t c mx))
-          | None -> ());
+          ignore (Locked.spawn "orb.mux_reader" (fun () -> mux_reader t c));
           (c, true)
       | `Lost winner ->
           (try Communicator.close c.comm with _ -> ());
@@ -1112,52 +1094,18 @@ let next_req_id t =
    [`Send] means no reply bytes were read — retry-safe territory;
    [`Recv] means the request went out and anything may have happened.
    [fatal] tells the caller whether the connection itself is tainted and
-   must leave the cache (every serialized failure is; a multiplexed call
-   that timed out before even sending is not). *)
+   must leave the cache (a call that timed out before even sending
+   leaves a healthy connection behind). *)
 exception
   Exchange_failed of { phase : [ `Send | `Recv ]; fatal : bool; err : exn }
 
-(* The historical exchange: the connection mutex held across the whole
-   roundtrip, the per-call deadline installed on the channel itself.
-   Still the entire story for [mux.max_in_flight <= 1] connections. *)
-let exchange_serialized conn msg ~oneway ~deadline
+(* One exchange: register a waiter cell under the demux lock, send
+   under the (short) connection write lock, then wait on the demux
+   condition until the reader delivers the reply, the connection dies,
+   or the per-call deadline passes ([Locked.wait_until]). *)
+let exchange_core t conn msg ~oneway ~deadline
     ~(span : Obs.Trace.span option) =
-  Locked.with_lock conn.conn_lock @@ fun () ->
-  Fun.protect
-    ~finally:(fun () ->
-      try Communicator.set_deadline conn.comm None with _ -> ())
-    (fun () ->
-      Communicator.set_deadline conn.comm deadline;
-      let t0 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
-      (try Communicator.send conn.comm msg
-       with e -> raise (Exchange_failed { phase = `Send; fatal = true; err = e }));
-      let t1 =
-        match span with
-        | Some s ->
-            let t1 = Obs.Trace.now () in
-            s.Obs.Trace.send_s <- t1 -. t0;
-            t1
-        | None -> 0.
-      in
-      if oneway then None
-      else
-        match Communicator.recv conn.comm with
-        | reply ->
-            (match span with
-            | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
-            | None -> ());
-            Some reply
-        | exception e ->
-            raise (Exchange_failed { phase = `Recv; fatal = true; err = e }))
-
-(* The multiplexed exchange: register a waiter cell under the demux
-   lock, send under the (short) connection write lock, then block on the
-   condition variable until the reader delivers the reply, the
-   connection dies, or the per-call deadline passes. OCaml's [Condition]
-   has no timed wait, so deadline waits poll at [Transport.poll_interval]
-   like the rest of the runtime; deadline-free waits park properly. *)
-let exchange_mux t conn mx msg ~oneway ~deadline
-    ~(span : Obs.Trace.span option) =
+  let mx = conn.mux in
   let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
   let msg_id =
     match msg with
@@ -1167,18 +1115,19 @@ let exchange_mux t conn mx msg ~oneway ~deadline
         0
   in
   let cell = ref None in
-  (* Admission + registration, atomically with the death check: [mux_kill]
-     wakes exactly the waiters registered at that instant, so a waiter
-     that got in under the same lock section can never be missed.
+  (* Admission + registration, atomically with the death check:
+     [close_connection] wakes exactly the waiters registered at that
+     instant, so a waiter that got in under the same lock section can
+     never be missed.
      Registration happens BEFORE the send — the reply can overtake the
      sender's return. A dead connection fails fast as a send-phase error:
      nothing was sent, the retry engine treats it exactly like the stale
      cached connection it is. *)
-  let admit_step () =
+  let registered, inflight_now =
     Locked.with_lock mx.mx_lock (fun () ->
         let rec admit () =
           match mx.mx_dead with
-          | Some err -> `Dead err
+          | Some err -> fail_ `Send ~fatal:true err
           | None ->
               if oneway || mx.mx_inflight < mx.mx_limit then begin
                 let registered = not oneway in
@@ -1190,35 +1139,20 @@ let exchange_mux t conn mx msg ~oneway ~deadline
                      read once it owes a reply. *)
                   Locked.broadcast mx.mx_lock
                 end;
-                `Admitted (registered, mx.mx_inflight)
+                (registered, mx.mx_inflight)
               end
+              else if Locked.wait_until mx.mx_lock deadline then admit ()
               else
-                match deadline with
-                | None ->
-                    Locked.wait mx.mx_lock;
-                    admit ()
-                | Some d ->
-                    let remaining = d -. Unix.gettimeofday () in
-                    if remaining <= 0. then `Saturated else `Poll remaining
+                (* Never sent: the connection is healthy, just saturated.
+                   Not fatal — the cache entry stays. *)
+                fail_ `Send ~fatal:false
+                  (Transport.Timeout
+                     (Printf.sprintf
+                        "timed out waiting for an in-flight slot to %s"
+                        (Communicator.peer conn.comm)))
         in
         admit ())
   in
-  let rec admit_loop () =
-    match admit_step () with
-    | `Poll remaining ->
-        Thread.delay (Float.min Transport.poll_interval remaining);
-        admit_loop ()
-    | `Dead err -> fail_ `Send ~fatal:true err
-    | `Saturated ->
-        (* Never sent: the connection is healthy, just saturated.
-           Not fatal — the cache entry stays. *)
-        fail_ `Send ~fatal:false
-          (Transport.Timeout
-             (Printf.sprintf "timed out waiting for an in-flight slot to %s"
-                (Communicator.peer conn.comm)))
-    | `Admitted (registered, inflight_now) -> (registered, inflight_now)
-  in
-  let registered, inflight_now = admit_loop () in
   if registered then begin
     mux_gauge t mx inflight_now;
     (* Monotone max via CAS: losing a race means someone recorded an
@@ -1250,7 +1184,7 @@ let exchange_mux t conn mx msg ~oneway ~deadline
      (* A failed send may have left a partial frame on the wire: the
         stream is desynchronized for every in-flight call. Kill. *)
      unregister ();
-     mux_kill conn mx e;
+     close_connection conn e;
      fail_ `Send ~fatal:true e);
   let t1 =
     match span with
@@ -1262,65 +1196,46 @@ let exchange_mux t conn mx msg ~oneway ~deadline
   in
   if oneway then None
   else begin
-    let await_step () =
+    let awaited =
       Locked.with_lock mx.mx_lock (fun () ->
           let rec await () =
-            match !cell with
-            | Some reply -> `Got reply
-            | None -> (
-                match mx.mx_dead with
-                | Some err -> `Dead err
-                | None -> (
-                    match deadline with
-                    | None ->
-                        Locked.wait mx.mx_lock;
-                        await ()
-                    | Some d ->
-                        let remaining = d -. Unix.gettimeofday () in
-                        if remaining <= 0. then `Expired else `Poll remaining))
+            match (!cell, mx.mx_dead) with
+            | Some reply, _ -> `Got reply
+            | None, Some err -> `Dead err
+            | None, None ->
+                if Locked.wait_until mx.mx_lock deadline then await ()
+                else `Expired
           in
           await ())
     in
-    let rec await_loop () =
-      match await_step () with
-      | `Poll remaining ->
-          Thread.delay (Float.min Transport.poll_interval remaining);
-          await_loop ()
-      | `Got reply ->
-          (match span with
-          | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
-          | None -> ());
-          Some reply
-      | `Dead err ->
-          unregister ();
-          fail_ `Recv ~fatal:true err
-      | `Expired ->
-          unregister ();
-          (* The stream still owes us a reply we will never consume;
-             leaving the connection alive would hand that reply to some
-             later call. Kill it — which is also what heals an endpoint
-             whose reads stall: the cache entry goes, the next attempt
-             dials fresh. Collateral waiters see a transport error
-             (retry-classifiable), not our timeout. *)
-          mux_kill conn mx
-            (Transport.Transport_error
-               (Printf.sprintf
-                  "connection to %s closed: a call deadline expired \
-                   mid-stream"
-                  (Communicator.peer conn.comm)));
-          fail_ `Recv ~fatal:true
-            (Transport.Timeout
-               (Printf.sprintf "reply %d from %s timed out" msg_id
-                  (Communicator.peer conn.comm)))
-    in
-    await_loop ()
+    match awaited with
+    | `Got reply ->
+        (match span with
+        | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
+        | None -> ());
+        Some reply
+    | `Dead err ->
+        unregister ();
+        fail_ `Recv ~fatal:true err
+    | `Expired ->
+        unregister ();
+        (* The stream still owes us a reply we will never consume;
+           leaving the connection alive would hand that reply to some
+           later call. Kill it — which is also what heals an endpoint
+           whose reads stall: the cache entry goes, the next attempt
+           dials fresh. Collateral waiters see a transport error
+           (retry-classifiable), not our timeout. *)
+        close_connection conn
+          (Transport.Transport_error
+             (Printf.sprintf
+                "connection to %s closed: a call deadline expired \
+                 mid-stream"
+                (Communicator.peer conn.comm)));
+        fail_ `Recv ~fatal:true
+          (Transport.Timeout
+             (Printf.sprintf "reply %d from %s timed out" msg_id
+                (Communicator.peer conn.comm)))
   end
-
-let exchange_core t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option)
-    =
-  match conn.mux with
-  | None -> exchange_serialized conn msg ~oneway ~deadline ~span
-  | Some mx -> exchange_mux t conn mx msg ~oneway ~deadline ~span
 
 (* ---------------- client side: codec negotiation ---------------- *)
 
@@ -1336,70 +1251,62 @@ let contains_sub ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* Nothing registered on the demultiplexer: the offer's encoding switch
-   will land on a quiet reply stream. Serialized connections are always
-   quiet here — the roundtrip is atomic under the connection lock. *)
-let conn_quiet conn =
-  match conn.mux with
-  | None -> true
-  | Some mx -> Locked.with_lock mx.mx_lock (fun () -> mx.mx_inflight = 0)
-
 (* The negotiation gate every send passes through. [`Plain]: proceed in
    the current encoding. [`Offer]: this call owns the connection's one
    offer. While an offer is in flight all other calls hold here — the
    hold-until-answer discipline both communicator re-pointings rely
-   on. An offering call additionally waits for in-flight replies to
-   drain, so an out-of-order earlier reply cannot arrive after the
-   switch in the wrong encoding. *)
+   on. An offering call additionally waits, with the gate released, for
+   in-flight replies to drain ([deliver] and [unregister] broadcast the
+   demux lock), so an out-of-order earlier reply cannot arrive after the
+   switch in the wrong encoding. Every wait here is bounded by the
+   caller's deadline. *)
 let nego_gate conn ~deadline ~can_offer =
-  let step () =
-    Locked.with_lock conn.nego_lock (fun () ->
-        match conn.nego with
-        | Nego_idle -> `Plain
-        | Nego_fresh ->
-            if not can_offer then `Plain
-            else if conn_quiet conn then begin
-              conn.nego <- Nego_offering;
-              `Offer
-            end
-            else `Busy
-        | Nego_offering -> (
-            match deadline with
-            | None ->
-                Locked.wait conn.nego_lock;
-                `Again
-            | Some d ->
-                let remaining = d -. Unix.gettimeofday () in
-                if remaining <= 0. then `Expired else `Poll remaining))
+  let mx = conn.mux in
+  let expired () =
+    (* Never sent; the connection is healthy, just mid-offer. *)
+    raise
+      (Exchange_failed
+         {
+           phase = `Send;
+           fatal = false;
+           err =
+             Transport.Timeout
+               (Printf.sprintf "timed out behind a codec negotiation to %s"
+                  (Communicator.peer conn.comm));
+         })
   in
-  let rec loop () =
-    match step () with
-    | `Plain -> `Plain
-    | `Offer -> `Offer
-    | `Again -> loop ()
+  let rec gate () =
+    let step =
+      Locked.with_lock conn.nego_lock (fun () ->
+          let rec wait () =
+            match conn.nego with
+            | Nego_idle -> `Plain
+            | Nego_fresh when not can_offer -> `Plain
+            | Nego_fresh ->
+                if Locked.with_lock mx.mx_lock (fun () -> mx.mx_inflight > 0)
+                then `Busy
+                else begin
+                  conn.nego <- Nego_offering;
+                  `Offer
+                end
+            | Nego_offering ->
+                if Locked.wait_until conn.nego_lock deadline then wait ()
+                else expired ()
+          in
+          wait ())
+    in
+    match step with
     | `Busy ->
-        (* Wait for the demux to drain; replies arrive on the reader
-           thread, which does not signal our gate — poll. *)
-        Thread.delay Transport.poll_interval;
-        loop ()
-    | `Poll remaining ->
-        Thread.delay (Float.min Transport.poll_interval remaining);
-        loop ()
-    | `Expired ->
-        (* Never sent; the connection is healthy, just mid-offer. *)
-        raise
-          (Exchange_failed
-             {
-               phase = `Send;
-               fatal = false;
-               err =
-                 Transport.Timeout
-                   (Printf.sprintf
-                      "timed out behind a codec negotiation to %s"
-                      (Communicator.peer conn.comm));
-             })
+        Locked.with_lock mx.mx_lock (fun () ->
+            let rec drain () =
+              mx.mx_inflight = 0
+              || (Locked.wait_until mx.mx_lock deadline && drain ())
+            in
+            if not (drain ()) then expired ());
+        gate ()
+    | (`Plain | `Offer) as decided -> decided
   in
-  loop ()
+  gate ()
 
 (* Run the connection's one offer: send [msg] with the offer slot
    attached, then act on what comes back. An answer re-points both
@@ -1528,11 +1435,11 @@ let call_deadline t timeout =
    counter. Caller holds the ORB mutex (for the connection table); the
    counter itself is written under its demux lock, so this is a hint,
    not an invariant — exactly what load balancing needs. No cached
-   connection, or a serialized one, counts as idle. *)
+   connection counts as idle. *)
 let inflight_hint t ep =
   match Hashtbl.find_opt t.conns ep with
-  | Some { mux = Some mx; _ } -> mx.mx_inflight
-  | Some _ | None -> 0
+  | Some c -> c.mux.mx_inflight
+  | None -> 0
 
 (* Power-of-two-choices over per-endpoint in-flight counts: draw two
    candidates, keep the less loaded — near-optimal load spread for a
@@ -2107,10 +2014,7 @@ let stats t =
           (* Racy-by-design snapshot of the per-connection counters:
              each is written under its own demux lock; the sum is a
              point-in-time gauge, not an invariant. *)
-          Hashtbl.fold
-            (fun _ c acc ->
-              match c.mux with Some mx -> acc + mx.mx_inflight | None -> acc)
-            t.conns 0,
+          Hashtbl.fold (fun _ c acc -> acc + c.mux.mx_inflight) t.conns 0,
           t.pool ))
   in
   let breaker_trips, breaker_fast_fails, breaker_states =

@@ -92,13 +92,13 @@ val default_server_policy : server_policy
     accept backoff. *)
 
 (** The client's connection-sharing policy (DESIGN.md "Client connection
-    model"). With [max_in_flight > 1] (the default) each cached outbound
-    connection runs a reply demultiplexer: a dedicated reader thread
-    correlates replies to blocked callers by request id, so up to
+    model"). Each cached outbound connection runs a reply
+    demultiplexer: a dedicated reader thread correlates replies to
+    blocked callers by request id, so up to
     [max_in_flight] calls from concurrent threads pipeline over one
-    shared connection. [max_in_flight = 1] reproduces the historical
-    serialized client — the connection is locked across the whole
-    roundtrip — kept for interop comparison (bench §E11). *)
+    shared connection. [max_in_flight = 1] is the same demultiplexer
+    with one slot: calls on the connection go one at a time, the
+    one-call-per-roundtrip baseline of bench §E11. *)
 type mux = { max_in_flight : int }
 
 val default_mux : mux
@@ -356,7 +356,7 @@ type stats = {
   pool_active : int;  (** Pool workers currently executing (0 without a pool). *)
   mux_in_flight : int;
       (** Client calls currently awaiting replies, summed over cached
-          multiplexed connections (0 with [max_in_flight = 1]). *)
+          connections. *)
   mux_peak_in_flight : int;
       (** Highest in-flight count any single client connection reached —
           [> 1] is the proof that calls actually pipelined. *)

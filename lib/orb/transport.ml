@@ -29,12 +29,6 @@ type channel = {
   peer : string;
 }
 
-(* Granularity of the timed waits used where the OS gives us no native
-   timed primitive (in-memory pipes, injected read stalls). Coarse
-   enough to stay cheap, fine enough that deadlines are honoured well
-   within the +-100ms the tests assert. *)
-let poll_interval = 0.005
-
 type listener = {
   accept : unit -> channel;
   shutdown : unit -> unit;
@@ -376,42 +370,22 @@ module Pipe = struct
 
   (* Blocks until [check buf pos len] returns (consume, result), where
      [consume] counts from [pos]. [deadline] is re-read on every wakeup
-     so a deadline installed mid-wait still takes effect. Without a
-     deadline we park on the lock's condition; with one we poll, since
-     OCaml's [Condition] has no timed wait — each locked step either
-     decides or hands [`Poll] to the unlocked delay loop below. *)
+     so a deadline installed mid-wait still takes effect. *)
   let read_with t ?(deadline = fun () -> None) check ~what =
-    let step () =
-      Locked.with_lock t.lock (fun () ->
-          let rec wait () =
-            match check t.buf t.pos (Buffer.length t.buf) with
-            | Some (consume, result) ->
-                t.pos <- t.pos + consume;
-                compact t;
-                `Done result
-            | None ->
-                if t.closed then `Closed
-                else
-                  match deadline () with
-                  | None ->
-                      Locked.wait t.lock;
-                      wait ()
-                  | Some d ->
-                      let remaining = d -. Unix.gettimeofday () in
-                      if remaining <= 0. then `Timeout else `Poll remaining
-          in
-          wait ())
-    in
-    let rec loop () =
-      match step () with
-      | `Done result -> result
-      | `Closed -> fail "in-memory channel closed while reading %s" what
-      | `Timeout -> timeout_fail "in-memory read of %s timed out" what
-      | `Poll remaining ->
-          Thread.delay (Float.min poll_interval remaining);
-          loop ()
-    in
-    loop ()
+    Locked.with_lock t.lock (fun () ->
+        let rec wait () =
+          match check t.buf t.pos (Buffer.length t.buf) with
+          | Some (consume, result) ->
+              t.pos <- t.pos + consume;
+              compact t;
+              result
+          | None ->
+              if t.closed then
+                fail "in-memory channel closed while reading %s" what
+              else if Locked.wait_until t.lock (deadline ()) then wait ()
+              else timeout_fail "in-memory read of %s timed out" what
+        in
+        wait ())
 end
 
 let mem_channel_pair ~peer_a ~peer_b =
@@ -677,14 +651,19 @@ end
 
 let faulty_channel inner =
   (* [broken] marks a connection killed by an injected fault; every
-     later operation fails like a dead socket would. *)
+     later operation fails like a dead socket would. [kill] sets it
+     under [stalled] and broadcasts, waking any read parked in an
+     injected stall. *)
+  let stalled = Locked.create ~name:"fault.stall" ~rank:Locked.Rank.fault in
   let broken = ref false in
   let deadline = ref None in
   let guard () =
     if !broken then fail "connection to %s broken by injected fault" inner.peer
   in
   let kill () =
-    broken := true;
+    Locked.with_lock stalled (fun () ->
+        broken := true;
+        Locked.broadcast stalled);
     inner.close ()
   in
   let on_read read =
@@ -693,27 +672,15 @@ let faulty_channel inner =
     | Some Fault.Stall_read ->
         (* Hang exactly like a peer that stopped responding: wake only
            when the channel deadline passes or the channel dies. *)
-        let rec stall () =
-          (match !deadline with
-          | Some d when Unix.gettimeofday () >= d ->
-              timeout_fail "read from %s timed out (injected stall)" inner.peer
-          | _ -> ());
-          guard ();
-          (* Sleep to the actual deadline, not a fixed tick: a stalled
-             read with 1ms of budget left must wake in ~1ms, not after
-             a full poll interval — lapsed deadlines are load-shedding
-             signals and every extra tick is latency the caller pays. *)
-          let nap =
-            match !deadline with
-            | Some d ->
-                Float.min poll_interval
-                  (Float.max 0.0005 (d -. Unix.gettimeofday ()))
-            | None -> poll_interval
-          in
-          Thread.delay nap;
-          stall ()
-        in
-        stall ()
+        Locked.with_lock stalled (fun () ->
+            let rec stall () =
+              guard ();
+              if Locked.wait_until stalled !deadline then stall ()
+              else
+                timeout_fail "read from %s timed out (injected stall)"
+                  inner.peer
+            in
+            stall ())
     | Some Fault.Drop_read ->
         kill ();
         fail "connection to %s dropped by injected fault" inner.peer

@@ -55,7 +55,10 @@ type channel = {
   set_deadline : float option -> unit;
       (** Install ([Some abs_time], a [Unix.gettimeofday] instant) or
           clear ([None]) the read deadline. Absolute so that one
-          deadline spans the multiple reads of a framed message. *)
+          deadline spans the multiple reads of a framed message. TCP
+          reads wait in [select]; in-memory reads and injected stalls
+          wait in [Locked.wait_until], so they notice the deadline
+          within its poll interval (5 ms). *)
   set_recv_limit : int option -> unit;
       (** Install or clear the maximum accepted [read_line] length in
           bytes (the decode-hardening frame limit). Oversized lines are
@@ -63,13 +66,6 @@ type channel = {
           the stream left synchronized at the next line. *)
   peer : string;  (** Peer description for logs. *)
 }
-
-val poll_interval : float
-(** Granularity (seconds) of the timed waits used where the OS gives no
-    native timed primitive — in-memory pipe reads, injected read stalls,
-    and the client demultiplexer's deadline waits (OCaml's [Condition]
-    has no timed wait). Coarse enough to stay cheap, fine enough that
-    deadlines are honoured well within what the tests assert. *)
 
 type listener = {
   accept : unit -> channel;  (** Blocks until a client connects. *)

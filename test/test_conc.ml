@@ -23,8 +23,9 @@ let corpus_cases () =
 let test_corpus () =
   let cases = corpus_cases () in
   (* One fixture per C4xx code, plus the second C404 shape (the
-     unlocked stats counter). *)
-  Alcotest.(check int) "fixture count" 9 (List.length cases);
+     unlocked stats counter) and the second C402 shape (a timed wait on
+     a foreign lock). *)
+  Alcotest.(check int) "fixture count" 10 (List.length cases);
   List.iter
     (fun case ->
       let path = Filename.concat corpus_dir case in
@@ -184,6 +185,95 @@ let test_checker_off_by_default () =
       Locked.with_lock inner (fun () -> Locked.with_lock outer (fun () -> ()));
       Alcotest.(check (list string)) "nothing recorded" [] (Locked.violations ()))
 
+(* ---------------- the timed wait ---------------- *)
+
+(* Loop [Locked.wait_until l deadline] until [ready] holds or the wait
+   gives up; returns whether [ready] held and how many waits it took. *)
+let wait_for l ready deadline =
+  let rec loop n =
+    if ready () then (true, n)
+    else if Locked.wait_until l deadline then loop (n + 1)
+    else (false, n)
+  in
+  Locked.with_lock l (fun () -> loop 0)
+
+let test_wait_until_none_is_wait () =
+  (* [None] parks on the condition: one broadcast wakes it, and it does
+     not poll in the meantime (a 5 ms poll would take ~10 rounds). *)
+  let l = Locked.create ~name:"t.wu.none" ~rank:Locked.Rank.metrics in
+  let ready = ref false in
+  let waker =
+    Locked.spawn "test.waker" (fun () ->
+        Thread.delay 0.05;
+        Locked.with_lock l (fun () ->
+            ready := true;
+            Locked.broadcast l))
+  in
+  let woke, waits = wait_for l (fun () -> !ready) None in
+  Thread.join waker;
+  Alcotest.(check bool) "woken by the broadcast" true woke;
+  Alcotest.(check bool)
+    (Printf.sprintf "parked, not polling (%d waits)" waits)
+    true (waits <= 2)
+
+let test_wait_until_lapsed_keeps_lock () =
+  (* A lapsed deadline answers [false], and the lock is never
+     released: a thread queued on it does not get in. *)
+  let l = Locked.create ~name:"t.wu.lapsed" ~rank:Locked.Rank.metrics in
+  let got_in = Atomic.make false in
+  let result, contender_in, contender =
+    Locked.with_lock l (fun () ->
+        let contender =
+          Locked.spawn "test.contender" (fun () ->
+              Locked.with_lock l (fun () -> Atomic.set got_in true))
+        in
+        Thread.delay 0.02;
+        let r = Locked.wait_until l (Some (Unix.gettimeofday () -. 1.)) in
+        (r, Atomic.get got_in, contender))
+  in
+  Thread.join contender;
+  Alcotest.(check bool) "lapsed deadline returns false" false result;
+  Alcotest.(check bool) "lock never released" false contender_in;
+  Alcotest.(check bool) "contender ran afterwards" true (Atomic.get got_in)
+
+let test_wait_until_deadline_granularity () =
+  (* Nothing ever signals: the wait ends on its 50 ms deadline, never
+     before it, and late by at most one 5 ms poll plus 25 ms of
+     scheduling slack. *)
+  let l = Locked.create ~name:"t.wu.fires" ~rank:Locked.Rank.metrics in
+  let t0 = Unix.gettimeofday () in
+  let ready, _ = wait_for l (fun () -> false) (Some (t0 +. 0.05)) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "gave up" false ready;
+  Alcotest.(check bool)
+    (Printf.sprintf "fired at %.4fs, in [0.050, 0.080]" elapsed)
+    true
+    (elapsed >= 0.05 && elapsed <= 0.08)
+
+let test_wait_until_foreign_trips () =
+  (* The checker's wait rule covers the timed wait, with and without a
+     deadline, on the intrinsic condition and on an extra one. *)
+  with_checking (fun () ->
+      let a = Locked.create ~name:"t.wu.fw.a" ~rank:Locked.Rank.pool in
+      let b = Locked.create ~name:"t.wu.fw.b" ~rank:Locked.Rank.metrics in
+      let c = Locked.new_cond a in
+      let soon = Some (Unix.gettimeofday () +. 0.01) in
+      List.iter
+        (fun (what, wait) ->
+          Locked.reset_violations ();
+          (match
+             Locked.with_lock a (fun () -> Locked.with_lock b wait)
+           with
+          | _ -> Alcotest.failf "%s: foreign wait not detected" what
+          | exception Locked.Rank_violation _ -> ());
+          Alcotest.(check bool) (what ^ ": violation recorded") true
+            (Locked.violations () <> []))
+        [
+          ("wait_until Some", fun () -> Locked.wait_until a soon);
+          ("wait_until None", fun () -> Locked.wait_until a None);
+          ("wait_until_c Some", fun () -> Locked.wait_until_c c soon);
+        ])
+
 let test_rank_table_strictly_ordered () =
   (* The table is the single source of truth for both checkers: names
      unique, values unique, and the documented lattice order intact. *)
@@ -227,5 +317,15 @@ let () =
             test_checker_off_by_default;
           Alcotest.test_case "rank table well-formed" `Quick
             test_rank_table_strictly_ordered;
+        ] );
+      ( "wait_until",
+        [
+          Alcotest.test_case "None is wait" `Quick test_wait_until_none_is_wait;
+          Alcotest.test_case "lapsed deadline keeps the lock" `Quick
+            test_wait_until_lapsed_keeps_lock;
+          Alcotest.test_case "50 ms deadline granularity" `Quick
+            test_wait_until_deadline_granularity;
+          Alcotest.test_case "foreign timed wait trips" `Quick
+            test_wait_until_foreign_trips;
         ] );
     ]

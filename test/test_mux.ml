@@ -2,7 +2,7 @@
    demultiplexer (DESIGN.md section 9). N threads share one cached
    connection; replies are correlated by request id; connection death
    wakes every waiter with a retry-classifiable error; [max_in_flight =
-   1] reproduces the historical serialized client. *)
+   1] is the same demultiplexer with one slot. *)
 
 let echo_type = "IDL:Test/Echo:1.0"
 
@@ -188,9 +188,9 @@ let test_oneway_under_mux () =
 (* ---------------- serialized interop (max_in_flight = 1) -------------- *)
 
 let test_serialized_interop () =
-  (* The [max_in_flight = 1] client speaks to the same server with the
-     historical lock-across-roundtrip exchange: correct answers, one
-     connection, and no demux state at all (peak stays 0). *)
+  (* The [max_in_flight = 1] client is a one-slot demultiplexer: four
+     threads share one connection, every answer is correct, and no two
+     calls are ever in flight at once (the peak is exactly 1). *)
   let server, client, target = mk_pair ~mux:{ Orb.max_in_flight = 1 } () in
   let n_threads = 4 and calls_each = 10 in
   let ok = Atomic.make 0 in
@@ -215,8 +215,8 @@ let test_serialized_interop () =
     (Atomic.get ok);
   Alcotest.(check int) "one shared connection" 1 (Orb.connections_opened client);
   let st = Orb.stats client in
-  Alcotest.(check int) "no demux in-flight tracking" 0 st.Orb.mux_in_flight;
-  Alcotest.(check int) "peak never moved" 0 st.Orb.mux_peak_in_flight;
+  Alcotest.(check int) "nothing left in flight" 0 st.Orb.mux_in_flight;
+  Alcotest.(check int) "one call in flight at most" 1 st.Orb.mux_peak_in_flight;
   Orb.shutdown client;
   Orb.shutdown server
 

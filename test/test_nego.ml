@@ -291,6 +291,60 @@ let test_evolution_verdict_end_to_end () =
       check_stats "client" client ~nego:0 ~fallback:1;
       check_stats "server" server ~nego:0 ~fallback:1)
 
+(* The gate's drain wait honours the caller's deadline. A fresh
+   connection has a locate in flight whose request write the fault plan
+   delays by 2 s; a first [invoke] with a 0.2 s budget must fail with
+   its timeout at 0.2 s, without sending anything. Waiting out the
+   locate instead would send the offer past its deadline, and the
+   expired wait would then kill the shared connection. *)
+let test_busy_gate_honours_deadline () =
+  let module F = Orb.Transport.Fault in
+  with_pair ~transport:"faulty:mem" ~server_codecs:[ P.hcx ]
+    ~client_codecs:[ P.hcx ] (fun ~server ~client ->
+      let target = Orb.export server (echo_skeleton ()) in
+      Fun.protect ~finally:F.clear (fun () ->
+          F.set_plan (fun { F.op; nth; peer } ->
+              if op = `Write && nth = 0 && Tutil.contains peer "(server)" then
+                Some (F.Delay_write 2.0)
+              else None);
+          let located = ref None in
+          let locator =
+            Thread.create
+              (fun () -> located := Some (Orb.locate client target))
+              ()
+          in
+          let rec until_in_flight n =
+            if (Orb.stats client).Orb.mux_in_flight = 0 && n > 0 then begin
+              Thread.delay 0.005;
+              until_in_flight (n - 1)
+            end
+          in
+          until_in_flight 400;
+          Alcotest.(check int) "locate in flight" 1
+            (Orb.stats client).Orb.mux_in_flight;
+          let t0 = Unix.gettimeofday () in
+          (match
+             Orb.invoke client target ~op:"echo" ~timeout:0.2 (fun e ->
+                 e.Wire.Codec.put_string "late")
+           with
+          | exception Orb.Transport.Timeout _ -> ()
+          | exception e ->
+              Alcotest.failf "expected Timeout, got %s" (Printexc.to_string e)
+          | _ -> Alcotest.fail "expected Timeout, got a reply");
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "deadline honoured (elapsed %.3fs)" elapsed)
+            true
+            (elapsed >= 0.19 && elapsed <= 0.6);
+          Thread.join locator;
+          Alcotest.(check (option bool)) "locate answered" (Some true)
+            !located;
+          Alcotest.(check string) "negotiates afterwards" "echo:x"
+            (invoke_string client target ~op:"echo" "x");
+          Alcotest.(check int) "connection survived" 1
+            (Orb.connections_opened client);
+          check_stats "client" client ~nego:1 ~fallback:0))
+
 let () =
   Alcotest.run "nego"
     [
@@ -301,6 +355,8 @@ let () =
             test_concurrent_first_calls_negotiate_once;
           Alcotest.test_case "oneway does not offer" `Quick
             test_oneway_does_not_offer;
+          Alcotest.test_case "busy gate honours the deadline" `Quick
+            test_busy_gate_honours_deadline;
         ] );
       ( "fallback",
         [
