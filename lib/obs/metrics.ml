@@ -127,8 +127,18 @@ let add_bytes t ~endpoint ~dir n =
       ignore (Atomic.fetch_and_add c.bytes_out n);
       Atomic.incr c.writes
 
-let incr t ~name =
-  Atomic.incr (find_or_create t.counters name (fun () -> Atomic.make 0))
+let add t ~name n =
+  ignore
+    (Atomic.fetch_and_add
+       (find_or_create t.counters name (fun () -> Atomic.make 0))
+       n)
+
+let incr t ~name = add t ~name 1
+
+let count t name =
+  match Smap.find_opt name (Atomic.get t.counters) with
+  | Some c -> Atomic.get c
+  | None -> 0
 
 let set_gauge t ~name v =
   Atomic.set (find_or_create t.gauges name (fun () -> Atomic.make 0.)) v

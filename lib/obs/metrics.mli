@@ -16,7 +16,14 @@ val add_bytes : t -> endpoint:string -> dir:[ `In | `Out ] -> int -> unit
     read/write operation. *)
 
 val incr : t -> name:string -> unit
-(** Bump a named event counter. *)
+(** Bump a named event counter by one. *)
+
+val add : t -> name:string -> int -> unit
+(** Bump a named event counter by [n] (an event that counts several
+    things at once, e.g. jobs abandoned by one drain). *)
+
+val count : t -> string -> int
+(** The named counter's current value; 0 for a name never bumped. *)
 
 val set_gauge : t -> name:string -> float -> unit
 (** Set a named level gauge (last write wins) — e.g. the server worker

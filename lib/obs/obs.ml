@@ -2,7 +2,8 @@
    switch, a metrics registry and the registered span sinks. The ORB's
    invocation and dispatch paths consult [enabled] before doing any
    tracing work, so a disabled instance costs one boolean load per
-   probe point (the "trace-off" side of bench E9). *)
+   probe point (the "trace-off" side of bench E9). Event counters are
+   the exception: they always count. *)
 
 module Jout = Jout
 module Trace = Trace
@@ -56,7 +57,11 @@ let observe t ~name seconds =
 let add_bytes t ~endpoint ~dir n =
   if Atomic.get t.on then Metrics.add_bytes t.metrics ~endpoint ~dir n
 
-let incr t ~name = if Atomic.get t.on then Metrics.incr t.metrics ~name
+(* Counters are never gated: they are the ORB's only event ledger
+   ([Orb.stats] reads them), and a bump is a map lookup plus one
+   atomic add — no label to build, nothing allocated once the cell
+   exists. *)
+let incr t ~name = Metrics.incr t.metrics ~name
 
 let set_gauge t ~name v =
   if Atomic.get t.on then Metrics.set_gauge t.metrics ~name v

@@ -4,7 +4,8 @@
 
     The ORB consults {!enabled} at every probe point, so a disabled
     instance costs one boolean load per call — bench E9 measures the
-    enabled ("trace-on") overhead against that baseline. *)
+    enabled ("trace-on") overhead against that baseline. Event
+    counters ({!incr}) are the exception: they always count. *)
 
 module Jout = Jout
 module Trace = Trace
@@ -40,7 +41,10 @@ val add_bytes : t -> endpoint:string -> dir:[ `In | `Out ] -> int -> unit
 (** {!Metrics.add_bytes}, gated on {!enabled}. *)
 
 val incr : t -> name:string -> unit
-(** {!Metrics.incr}, gated on {!enabled}. *)
+(** {!Metrics.incr}, {e not} gated on {!enabled}: event counters always
+    count, because they are the ORB's only event ledger ([Orb.stats]
+    reads them). [enabled] gates spans, histograms, byte meters and
+    gauges — never counters. *)
 
 val set_gauge : t -> name:string -> float -> unit
 (** {!Metrics.set_gauge}, gated on {!enabled}. *)

@@ -114,38 +114,15 @@ type t = {
   server_chain : Interceptor.chain;
   mutable accepted : sconn list;  (* server-side connections *)
   mutable next_req_id : int;
-  mutable opened : int;  (* outbound connections ever opened *)
-  (* Hot-path counters are [Atomic.t], not lock-guarded mutables: they
-     are bumped from pool worker domains, demux reader threads, and
-     callers concurrently, and several increment sites used to take the
-     ORB lock for nothing but the counter (see the C404 fixture pinning
-     the unlocked-mutable anti-pattern this replaces). Cold counters
-     mutated only under [lock] alongside other state stay mutable. *)
-  served : int Atomic.t;  (* requests dispatched *)
-  retries : int Atomic.t;  (* attempts beyond the first, across all calls *)
-  timeouts : int Atomic.t;  (* calls that hit their deadline *)
-  rejected : int Atomic.t;  (* requests refused by admission control *)
-  expired_pre_admission : int Atomic.t;
-      (* requests shed at decode/admission: budget lapsed before queueing *)
-  expired_in_queue : int Atomic.t;
-      (* requests shed at execution: budget lapsed while queued, or
-         remaining budget below the service-time estimate (doomed) *)
   service_ewma_us : int Atomic.t;
       (* EWMA of pool-dispatch service time in µs (0 until the first
          completion) — the doomed-request shed threshold *)
-  mutable evicted : int;  (* connections evicted by the LRU limit *)
-  mutable drains_clean : int;  (* graceful drains that finished in time *)
-  mutable drain_aborted_jobs : int;  (* dispatches abandoned at force-close *)
   mux_peak : int Atomic.t;  (* highest in-flight count any connection saw *)
-  codec_negotiations : int Atomic.t;  (* connections switched to a negotiated codec *)
-  codec_fallbacks : int Atomic.t;  (* offers that fell back to the base protocol *)
   mutable bootstrap_registry : (string, Objref.t) Hashtbl.t option;
   fwd_cache : (string, Objref.t) Hashtbl.t;
       (* logical target (stringified) -> last Locate_forward redirect;
          invalidated when the forwarded target fails *)
   rng : Random.State.t;  (* replica selection; guarded by [mutex] *)
-  failovers : int Atomic.t;  (* attempts rerouted away from a failed replica *)
-  mutable forwards_followed : int;  (* Locate_forward redirects honoured *)
 }
 
 (* One cached outbound connection. [conn_lock] serializes sends (each
@@ -226,27 +203,13 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     server_chain = Interceptor.empty_chain ();
     accepted = [];
     next_req_id = 1;
-    opened = 0;
-    served = Atomic.make 0;
-    retries = Atomic.make 0;
-    timeouts = Atomic.make 0;
-    rejected = Atomic.make 0;
-    expired_pre_admission = Atomic.make 0;
-    expired_in_queue = Atomic.make 0;
     service_ewma_us = Atomic.make 0;
-    evicted = 0;
-    drains_clean = 0;
-    drain_aborted_jobs = 0;
     mux_peak = Atomic.make 0;
-    codec_negotiations = Atomic.make 0;
-    codec_fallbacks = Atomic.make 0;
     bootstrap_registry = None;
     fwd_cache = Hashtbl.create 8;
     (* Fixed seed: replica selection only needs spread, not entropy, and
        determinism keeps test runs reproducible. *)
     rng = Random.State.make [| 0x9e3779b9 |];
-    failovers = Atomic.make 0;
-    forwards_followed = 0;
   }
 
 let protocol t = t.proto
@@ -290,7 +253,7 @@ let handle_request_inner t (req : Protocol.request) : Protocol.reply option =
         { Protocol.rep_id = req.Protocol.req_id; status; payload;
           nego_answer = "" }
   in
-  Atomic.incr t.served;
+  Obs.incr t.obs ~name:"server:served";
   match Object_adapter.lookup t.oa req.Protocol.target.Objref.oid with
   | None ->
       reply
@@ -440,27 +403,22 @@ let serve_connection t sc =
       match decided with
       | Some (Some p) ->
           Communicator.set_protocol ~dir:`Recv comm p;
-          Atomic.incr t.codec_negotiations;
           Obs.incr t.obs ~name:"server:codec_negotiated"
-      | Some None ->
-          Atomic.incr t.codec_fallbacks;
-          Obs.incr t.obs ~name:"server:codec_fallback"
+      | Some None -> Obs.incr t.obs ~name:"server:codec_fallback"
       | None -> ()
     end
   in
   (* Admission refusal: a diagnosable System_exception reply, never a
      dropped connection. *)
   let reject_request (req : Protocol.request) reason =
-    Atomic.incr t.rejected;
     Obs.incr t.obs ~name:"server:rejected";
     if not req.Protocol.oneway then error_reply req.Protocol.req_id reason
   in
   (* Budget-expiry shedding: like an admission refusal, but counted and
      worded as the Timeout-class outcome it is — the client's budget
      lapsed, nobody is waiting for the result anymore. *)
-  let expire_request (req : Protocol.request) ~counter ~obs_name reason =
-    Atomic.incr counter;
-    Obs.incr t.obs ~name:obs_name;
+  let expire_request (req : Protocol.request) ~counter reason =
+    Obs.incr t.obs ~name:counter;
     if not req.Protocol.oneway then error_reply req.Protocol.req_id reason
   in
   let finish_dispatch req =
@@ -504,8 +462,7 @@ let serve_connection t sc =
     else if expired_now () then
       (* Shed point 1 (decode): the budget lapsed in transit — drop
          before enqueueing anything. *)
-      expire_request req ~counter:t.expired_pre_admission
-        ~obs_name:"server:expired_pre_admission"
+      expire_request req ~counter:"server:expired_pre_admission"
         "expired before admission: request deadline budget lapsed"
     else begin
       with_lock t (fun () -> sc.s_inflight <- sc.s_inflight + 1);
@@ -540,15 +497,13 @@ let serve_connection t sc =
                 in
                 if expired_now () then
                   try
-                    expire_request req ~counter:t.expired_in_queue
-                      ~obs_name:"server:expired_in_queue"
+                    expire_request req ~counter:"server:expired_in_queue"
                       "expired in queue: request deadline budget lapsed \
                        before execution"
                   with _ -> (try Communicator.close comm with _ -> ())
                 else if doomed_now () then
                   try
-                    expire_request req ~counter:t.expired_in_queue
-                      ~obs_name:"server:doomed_in_queue"
+                    expire_request req ~counter:"server:doomed_in_queue"
                       "doomed in queue: remaining deadline budget below \
                        the service-time estimate"
                   with _ -> (try Communicator.close comm with _ -> ())
@@ -595,8 +550,7 @@ let serve_connection t sc =
               reject_request req reason
           | `Expired ->
               dec_inflight ();
-              expire_request req ~counter:t.expired_pre_admission
-                ~obs_name:"server:expired_pre_admission"
+              expire_request req ~counter:"server:expired_pre_admission"
                 "expired before admission: request deadline budget lapsed \
                  while awaiting queue space")
     end
@@ -696,7 +650,6 @@ let admit_connection t sc =
           | None -> None
           | Some v ->
               t.accepted <- List.filter (fun c -> c != v) t.accepted;
-              t.evicted <- t.evicted + 1;
               Some v
         end
         else None)
@@ -855,13 +808,10 @@ let shutdown ?drain_deadline t =
                 wait ())
       in
       (match result with
-      | `Drained ->
-          with_lock t (fun () -> t.drains_clean <- t.drains_clean + 1);
-          Obs.incr t.obs ~name:"server:drained"
+      | `Drained -> Obs.incr t.obs ~name:"server:drained"
       | `Aborted n ->
-          with_lock t (fun () ->
-              t.drain_aborted_jobs <- t.drain_aborted_jobs + n);
-          Obs.incr t.obs ~name:"server:drain_aborted");
+          Obs.Metrics.add (Obs.metrics t.obs) ~name:"server:drain_aborted_jobs"
+            n);
       (match span with
       | None -> ()
       | Some s ->
@@ -1041,11 +991,11 @@ let get_connection t endpoint =
             | Some winner -> `Lost winner
             | None ->
                 Hashtbl.replace t.conns endpoint c;
-                t.opened <- t.opened + 1;
                 `Won)
       in
       match outcome with
       | `Won ->
+          Obs.incr t.obs ~name:"client:opened";
           (* The reader starts only for the connection that actually
              enters the cache — a race loser is closed before any
              request can be sent on it. *)
@@ -1325,7 +1275,6 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
     | other -> other
   in
   let fallback () =
-    Atomic.incr t.codec_fallbacks;
     Obs.incr t.obs ~name:"client:codec_fallback";
     nego_resolve conn Nego_idle
   in
@@ -1360,7 +1309,6 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
       | Some p ->
           Communicator.set_protocol conn.comm p;
           conn.c_codec := p.Protocol.name;
-          Atomic.incr t.codec_negotiations;
           Obs.incr t.obs ~name:"client:codec_negotiated";
           nego_resolve conn Nego_idle;
           Some (Protocol.Reply r)
@@ -1408,11 +1356,10 @@ let exchange t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option) =
   | `Plain -> exchange_core t conn msg ~oneway ~deadline ~span
   | `Offer -> exchange_offer t conn msg ~oneway ~deadline ~span
 
-(* Counted atomically, NOT under the ORB lock: this runs on the exchange
-   failure path from arbitrary caller threads and pool domains, and the
-   lock guarded nothing about it (the C404 pattern). *)
 let count_failure t e =
-  match e with Transport.Timeout _ -> Atomic.incr t.timeouts | _ -> ()
+  match e with
+  | Transport.Timeout _ -> Obs.incr t.obs ~name:"client:timeouts"
+  | _ -> ()
 
 let breaker_failure t key e =
   match (t.breaker, Retry.classify e) with
@@ -1505,10 +1452,7 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
     | untried -> untried
   in
   let count_failover () =
-    if multi then begin
-      Atomic.incr t.failovers;
-      Obs.incr t.obs ~name:"client:failover"
-    end
+    if multi then Obs.incr t.obs ~name:"client:failover"
   in
   (* [gate_spins] bounds the selection/gate race: an endpoint can trip
      between the read-only availability check and [before_call]. *)
@@ -1529,7 +1473,7 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
              (Printf.sprintf "retry budget exhausted (last error: %s)"
                 (Printexc.to_string e)))
       end;
-      Atomic.incr t.retries;
+      Obs.incr t.obs ~name:"client:retries";
       (match span with
       | Some s -> s.Obs.Trace.retries <- s.Obs.Trace.retries + 1
       | None -> ());
@@ -1724,9 +1668,7 @@ let cached_forward t target =
   with_lock t (fun () -> Hashtbl.find_opt t.fwd_cache (forward_key target))
 
 let note_forward t target fwd =
-  with_lock t (fun () ->
-      Hashtbl.replace t.fwd_cache (forward_key target) fwd;
-      t.forwards_followed <- t.forwards_followed + 1);
+  with_lock t (fun () -> Hashtbl.replace t.fwd_cache (forward_key target) fwd);
   Obs.incr t.obs ~name:"client:forwards"
 
 let invalidate_forward t target =
@@ -1959,8 +1901,11 @@ let smart_proxy t ?capacity ?invalidate_on target =
   in
   Smart.create ?capacity ?invalidate_on ~codec:t.proto.Protocol.codec raw target
 
-let connections_opened t = with_lock t (fun () -> t.opened)
-let requests_served t = Atomic.get t.served
+(* The ORB's event counters live in its Obs registry, one named cell
+   per counted event; [stats] and these accessors are views of it. *)
+let count t name = Obs.Metrics.count (Obs.metrics t.obs) name
+let connections_opened t = count t "client:opened"
+let requests_served t = count t "server:served"
 
 type stats = {
   opened : int;
@@ -1990,24 +1935,12 @@ type stats = {
 }
 
 let stats t =
-  let ( opened,
-        forwards,
-        evicted,
-        drains_clean,
-        drain_aborted_jobs,
-        server_connections,
-        mux_in_flight,
-        pool ) =
+  let server_connections, mux_in_flight, pool =
     with_lock t (fun () ->
         (* Count only live connections: a closed communicator may linger
            in [t.accepted] until its serving thread finishes unwinding,
            and must not inflate the gauge. *)
-        ( t.opened,
-          t.forwards_followed,
-          t.evicted,
-          t.drains_clean,
-          t.drain_aborted_jobs,
-          List.length
+        ( List.length
             (List.filter
                (fun c -> not (Communicator.is_closed c.scomm))
                t.accepted),
@@ -2031,31 +1964,37 @@ let stats t =
   let pool_depth, pool_active =
     match pool with Some p -> (Pool.depth p, Pool.active p) | None -> (0, 0)
   in
+  let count = count t in
+  (* A field covering both roles (or both shed flavours) is the sum of
+     its counters; every other field reads exactly one. *)
+  let both a b = count a + count b in
   {
-    opened;
-    served = Atomic.get t.served;
-    retries = Atomic.get t.retries;
-    timeouts = Atomic.get t.timeouts;
-    failovers = Atomic.get t.failovers;
-    forwards;
+    opened = count "client:opened";
+    served = count "server:served";
+    retries = count "client:retries";
+    timeouts = count "client:timeouts";
+    failovers = count "client:failover";
+    forwards = count "client:forwards";
     breaker_trips;
     breaker_fast_fails;
     breaker_states;
     server_connections;
-    rejected = Atomic.get t.rejected;
-    expired_pre_admission = Atomic.get t.expired_pre_admission;
-    expired_in_queue = Atomic.get t.expired_in_queue;
+    rejected = count "server:rejected";
+    expired_pre_admission = count "server:expired_pre_admission";
+    expired_in_queue =
+      both "server:expired_in_queue" "server:doomed_in_queue";
     retry_budget_balance = Retry.Budget.balance t.retry_budget;
-    retry_budget_exhaustions = Retry.Budget.exhaustions t.retry_budget;
-    evicted;
-    drains_clean;
-    drain_aborted_jobs;
+    retry_budget_exhaustions = count "client:retry_budget_exhausted";
+    evicted = count "server:evicted";
+    drains_clean = count "server:drained";
+    drain_aborted_jobs = count "server:drain_aborted_jobs";
     pool_depth;
     pool_active;
     mux_in_flight;
     mux_peak_in_flight = Atomic.get t.mux_peak;
-    codec_negotiations = Atomic.get t.codec_negotiations;
-    codec_fallbacks = Atomic.get t.codec_fallbacks;
+    codec_negotiations =
+      both "client:codec_negotiated" "server:codec_negotiated";
+    codec_fallbacks = both "client:codec_fallback" "server:codec_fallback";
   }
 
 (* The stats snapshot as one JSON object — what an operator scrapes to

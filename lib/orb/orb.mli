@@ -152,7 +152,9 @@ val create :
     wire protocol's service-context slot, and the transport feeds
     per-endpoint byte counters. Omitted: a disabled context — no spans,
     no measurable overhead, and the empty trace context keeps wire
-    messages byte-identical to pre-slot peers.
+    messages byte-identical to pre-slot peers. Either way the context's
+    event counters are live: they are the ORB's ledger, read back by
+    {!stats}. ORBs sharing one context share their counters.
 
     Fault-tolerance knobs (see DESIGN.md "Failure model"):
     - [call_timeout] — default per-call deadline in seconds; a call whose
@@ -299,12 +301,21 @@ val smart_proxy :
 
 val connections_opened : t -> int
 (** Total outbound connections ever opened — with the connection cache
-    working, repeated calls to one peer keep this at 1 (bench §E6). *)
+    working, repeated calls to one peer keep this at 1 (bench §E6).
+    Reads the [client:opened] counter. *)
 
 val requests_served : t -> int
-(** Total requests this address space has dispatched. *)
+(** Total requests this address space has dispatched. Reads the
+    [server:served] counter. *)
 
-(** Observability counters for one ORB (address space). *)
+(** Observability counters for one ORB (address space). The event
+    counts are a typed view of the ORB's {!Obs} metrics registry (see
+    {!obs}): each counted event bumps one named counter there, and each
+    field below reads one counter, or sums two where it covers both
+    roles ([codec_negotiations], [codec_fallbacks]) or both shed
+    flavours ([expired_in_queue]). The name table is in DESIGN.md
+    "Observability". Breaker counts, the retry balance, pool and mux
+    levels, and [mux_peak_in_flight] are read from their owners. *)
 type stats = {
   opened : int;  (** Outbound connections ever opened. *)
   served : int;  (** Requests dispatched by this address space. *)

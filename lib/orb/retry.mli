@@ -56,14 +56,12 @@ module Budget : sig
   (** Record a success: credits [ratio] of a retry, up to [cap]. *)
 
   val try_withdraw : t -> bool
-  (** Take one retry credit. [false] (and counts an exhaustion) when
-      the balance is under one whole credit. *)
+  (** Take one retry credit. [false] when the balance is under one
+      whole credit; the caller counts the refusal (the ORB bumps
+      [client:retry_budget_exhausted]). *)
 
   val balance : t -> int
   (** Whole retry credits currently banked. *)
-
-  val exhaustions : t -> int
-  (** Withdrawals refused so far — the retry-storm-suppressed count. *)
 end
 
 type policy = {

@@ -42,9 +42,13 @@ let tcp_channel fd ~peer =
   (* [buf] holds bytes read from the socket but not yet consumed; [pos]
      is the consumption offset. Consuming advances [pos]; the buffer is
      compacted only when the dead prefix grows large, keeping reads
-     amortized linear in the bytes transferred. *)
+     amortized linear in the bytes transferred. [chunk] is the read
+     scratch, allocated once: a fresh 64 KiB [Bytes] per read would be a
+     major-heap allocation per read. Sharing it is safe because [refill]
+     already assumes a single reader ([buf]/[pos] are unguarded). *)
   let buf = Buffer.create 4096 in
   let pos = ref 0 in
+  let chunk = Bytes.create 65536 in
   let deadline = ref None in
   (* Never [Unix.close] an fd another thread may still hand to a
      syscall: the kernel recycles fd numbers immediately, so a stale
@@ -112,7 +116,6 @@ let tcp_channel fd ~peer =
   let refill () =
     guarded (fun () ->
         await_readable ();
-        let chunk = Bytes.create 65536 in
         let n =
           try Unix.read fd chunk 0 (Bytes.length chunk)
           with Unix.Unix_error (e, _, _) ->

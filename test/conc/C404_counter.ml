@@ -1,6 +1,6 @@
 (* Seeded C404, the stats-counter shape: a module-level counter bumped
-   on a hot path with no lock held — the racy pattern that moved the
-   ORB's stats counters (timeouts, retries, served) to Atomic.t. *)
+   on a hot path with no lock held, while its reader takes a lock —
+   the bump races every other bump and the locked read guards nothing. *)
 
 let lock = Locked.create ~name:"fixture.c404.counter" ~rank:Locked.Rank.metrics
 let timeouts = ref 0

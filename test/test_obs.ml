@@ -199,7 +199,9 @@ let test_disabled_is_inert () =
   let snap = Obs.snapshot obs in
   Alcotest.(check int) "no latencies" 0 (List.length snap.Obs.metrics.Metrics.latencies);
   Alcotest.(check int) "no endpoints" 0 (List.length snap.Obs.metrics.Metrics.endpoints);
-  Alcotest.(check int) "no counters" 0 (List.length snap.Obs.metrics.Metrics.counters)
+  (* Counters are the one instrument [enabled] never gates. *)
+  Alcotest.(check (list (pair string int))) "counters still count"
+    [ ("c", 1) ] snap.Obs.metrics.Metrics.counters
 
 (* ---------------- end to end ---------------- *)
 
@@ -445,6 +447,140 @@ let test_retry_count_on_span () =
   Orb.shutdown client;
   Orb.shutdown server2
 
+(* [Orb.stats] is a view of the ORB's registry, live on a disabled
+   [Obs.t]: drive one of each kind of counted event through two
+   default-configured ORBs, then check every stats field against the
+   registry counter(s) it reads. *)
+let slow_skeleton () =
+  Orb.Skeleton.create ~type_id:echo_type
+    [
+      ("echo", fun args results ->
+          results.Wire.Codec.put_string ("echo:" ^ args.Wire.Codec.get_string ()));
+      ("sleepy", fun args results ->
+          Thread.delay (float_of_int (args.Wire.Codec.get_long ()) /. 1000.);
+          results.Wire.Codec.put_bool true);
+    ]
+
+let test_stats_view_of_registry () =
+  let server =
+    Orb.create ~transport:"mem" ~host:"local" ~codecs:[ Orb.Protocol.hcx ]
+      ~server_policy:
+        {
+          Orb.default_server_policy with
+          pool =
+            Some { Orb.Pool.default_config with workers = 1; queue_capacity = 1 };
+        }
+      ()
+  in
+  Orb.start server;
+  let target = Orb.export server (slow_skeleton ()) in
+  let client =
+    Orb.create ~transport:"mem" ~host:"local" ~codecs:[ Orb.Protocol.hcx ]
+      ~retry:Orb.Retry.none ()
+  in
+  let sleepy ms e = e.Wire.Codec.put_long ms in
+  (* Negotiation: the first call converges both ends on hcx. *)
+  Alcotest.(check string) "negotiated call" "echo:x"
+    (invoke_string client target ~op:"echo" "x");
+  (* Client timeout: 20 ms of deadline against 100 ms of work. *)
+  (match Orb.invoke client target ~op:"sleepy" ~timeout:0.02 (sleepy 100) with
+  | exception Orb.Transport.Timeout _ -> ()
+  | _ -> Alcotest.fail "expected a client timeout");
+  (* Sequence on the pool's own levels, not on sleeps. *)
+  let await_pool ~active ~depth =
+    let rec go n =
+      let st = Orb.stats server in
+      if st.Orb.pool_active = active && st.Orb.pool_depth = depth then ()
+      else if n = 0 then
+        Alcotest.failf "server pool never reached active=%d depth=%d" active
+          depth
+      else begin
+        Thread.delay 0.005;
+        go (n - 1)
+      end
+    in
+    go 1000
+  in
+  await_pool ~active:0 ~depth:0;
+  (* Raw base-protocol requests, so the shed points are deterministic:
+     a sleeper takes the one worker, a 50 ms-budget call fills the one
+     queue slot and lapses there, and a third call is refused. *)
+  let chan =
+    Orb.Transport.connect ~proto:"mem" ~host:"local" ~port:(Orb.port server)
+  in
+  let comm = Orb.Communicator.wrap Orb.Protocol.text chan in
+  let send ~req_id ?budget_us op ms =
+    let e = Orb.Protocol.text.Orb.Protocol.codec.Wire.Codec.encoder () in
+    sleepy ms e;
+    Orb.Communicator.send comm
+      (Orb.Protocol.Request
+         { req_id; target; operation = op; oneway = false;
+           payload = e.Wire.Codec.finish (); trace_ctx = ""; budget_us;
+           nego_offer = "" })
+  in
+  send ~req_id:1 "sleepy" 200;
+  await_pool ~active:1 ~depth:0;
+  send ~req_id:2 ~budget_us:50_000 "sleepy" 0;
+  await_pool ~active:1 ~depth:1;
+  send ~req_id:3 "sleepy" 0;
+  Orb.Communicator.set_deadline comm (Some (Unix.gettimeofday () +. 5.0));
+  for _ = 1 to 3 do ignore (Orb.Communicator.recv comm) done;
+  await_pool ~active:0 ~depth:0;
+  let st = Orb.stats server in
+  Alcotest.(check int) "one refused" 1 st.Orb.rejected;
+  Alcotest.(check int) "one shed in queue" 1 st.Orb.expired_in_queue;
+  (* A drain that abandons two jobs: one running, and one queued, which
+     the force-close answers as a refusal. *)
+  send ~req_id:4 "sleepy" 1000;
+  await_pool ~active:1 ~depth:0;
+  send ~req_id:5 "sleepy" 1000;
+  await_pool ~active:1 ~depth:1;
+  Orb.shutdown ~drain_deadline:0.1 server;
+  Orb.Communicator.close comm;
+  let check_view who orb =
+    let counters = (Obs.snapshot (Orb.obs orb)).Obs.metrics.Metrics.counters in
+    let c name = try List.assoc name counters with Not_found -> 0 in
+    let st = Orb.stats orb in
+    let eq field v name = Alcotest.(check int) (who ^ " " ^ field) (c name) v in
+    eq "opened" st.Orb.opened "client:opened";
+    eq "connections_opened" (Orb.connections_opened orb) "client:opened";
+    eq "served" st.Orb.served "server:served";
+    eq "requests_served" (Orb.requests_served orb) "server:served";
+    eq "retries" st.Orb.retries "client:retries";
+    eq "timeouts" st.Orb.timeouts "client:timeouts";
+    eq "failovers" st.Orb.failovers "client:failover";
+    eq "forwards" st.Orb.forwards "client:forwards";
+    eq "rejected" st.Orb.rejected "server:rejected";
+    eq "expired_pre_admission" st.Orb.expired_pre_admission
+      "server:expired_pre_admission";
+    eq "retry_budget_exhaustions" st.Orb.retry_budget_exhaustions
+      "client:retry_budget_exhausted";
+    eq "evicted" st.Orb.evicted "server:evicted";
+    eq "drains_clean" st.Orb.drains_clean "server:drained";
+    eq "drain_aborted_jobs" st.Orb.drain_aborted_jobs
+      "server:drain_aborted_jobs";
+    let sum a b = Alcotest.(check int) (who ^ " " ^ a ^ " + " ^ b) (c a + c b) in
+    sum "server:expired_in_queue" "server:doomed_in_queue"
+      st.Orb.expired_in_queue;
+    sum "client:codec_negotiated" "server:codec_negotiated"
+      st.Orb.codec_negotiations;
+    sum "client:codec_fallback" "server:codec_fallback" st.Orb.codec_fallbacks;
+    st
+  in
+  let cs = check_view "client" client in
+  let ss = check_view "server" server in
+  (* Each event above really happened, and was counted once. *)
+  Alcotest.(check int) "client negotiated" 1 cs.Orb.codec_negotiations;
+  Alcotest.(check int) "server negotiated" 1 ss.Orb.codec_negotiations;
+  Alcotest.(check int) "client timed out" 1 cs.Orb.timeouts;
+  Alcotest.(check int) "one connection" 1 cs.Orb.opened;
+  Alcotest.(check int) "queued drain job refused" 2 ss.Orb.rejected;
+  Alcotest.(check int) "drain counts jobs, not events" 2
+    ss.Orb.drain_aborted_jobs;
+  Alcotest.(check bool) "tracing stayed off" false
+    (Obs.enabled (Orb.obs server));
+  Orb.shutdown client
+
 let () =
   Alcotest.run "obs"
     [
@@ -481,5 +617,7 @@ let () =
           Alcotest.test_case "stock interceptor composes" `Quick
             test_stock_interceptor_composes;
           Alcotest.test_case "retry count on span" `Quick test_retry_count_on_span;
+          Alcotest.test_case "stats is a view of the registry" `Quick
+            test_stats_view_of_registry;
         ] );
     ]
