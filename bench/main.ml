@@ -667,24 +667,19 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) () =
 
 (* ================= E10: overload policy ============================ *)
 
-(* The server-hardening ablation: the same CPU-bound workload thrown at
-   a bounded worker pool (reject admission) and at the paper's
-   thread-per-connection model, at increasing client counts. Closed-loop
-   clients (next call only after the previous outcome) on the mem
-   transport; every outcome is counted, so goodput + rejections +
-   failures accounts for every call. Writes BENCH_overload.json for the
-   schema-checked smoke test.
-
-   Honesty note: OCaml systhreads share one runtime lock, so total
-   CPU throughput is bounded by one core in BOTH configurations — the
-   difference under overload is where the queueing happens. The pool
-   keeps a bounded queue and sheds the excess (goodput holds, ok-call
-   latency stays near workers x service time); thread-per-connection
-   accepts everything, so every in-flight call queues inside the
-   scheduler and the latency tail grows with the client count. *)
+(* The server's overload behaviour: a CPU-bound workload thrown at a
+   bounded worker pool (4 workers, 16 queue slots; a full queue is
+   rejected) at increasing client counts. Closed-loop clients (next
+   call only after the previous outcome) on the mem transport; every
+   outcome is counted, so goodput + rejections + failures accounts for
+   every call. The pool keeps a bounded queue and sheds the excess, so
+   goodput holds and ok-call latency stays near queue depth x service
+   time. Writes BENCH_overload.json for the schema-checked smoke test.
+   The retired thread-per-connection arm's numbers are frozen in
+   EXPERIMENTS.md §E10. *)
 let e10 ?(out = "BENCH_overload.json") ?(duration = 1.5)
     ?(client_counts = [ 4; 8; 32; 64 ]) () =
-  section "E10" "overload: bounded worker pool vs thread-per-connection";
+  section "E10" "overload: bounded worker pool under saturation";
   let spin_iters = 1_000_000 in
   let spin () =
     (* Pure OCaml work, no syscalls: deterministic service demand per
@@ -707,24 +702,14 @@ let e10 ?(out = "BENCH_overload.json") ?(duration = 1.5)
     Orb.Skeleton.create ~type_id:"IDL:Bench/Work:1.0"
       [ ("work", fun _ results -> results.Wire.Codec.put_long (spin ())) ]
   in
-  let servers =
-    [
-      ( "pool-4x16-reject",
-        {
-          Orb.default_server_policy with
-          pool =
-            Some
-              {
-                Orb.Pool.default_config with
-                workers = 4;
-                queue_capacity = 16;
-                admission = Orb.Pool.Reject;
-              };
-        } );
-      ("thread-per-conn", { Orb.default_server_policy with pool = None });
-    ]
+  let server_name = "pool-4x16-reject" in
+  let policy =
+    {
+      Orb.default_server_policy with
+      pool = { Orb.Pool.default_config with workers = 4; queue_capacity = 16 };
+    }
   in
-  let run_cell (server_name, policy) n_clients =
+  let run_cell n_clients =
     Orb.Transport.mem_reset ();
     let server =
       Orb.create ~transport:"mem" ~host:"local" ~server_policy:policy ()
@@ -787,11 +772,7 @@ let e10 ?(out = "BENCH_overload.json") ?(duration = 1.5)
       pct 0.95,
       (if n_ok = 0 then 0. else lats.(n_ok - 1) *. 1000.) )
   in
-  let cells =
-    List.concat_map
-      (fun server -> List.map (run_cell server) client_counts)
-      servers
-  in
+  let cells = List.map run_cell client_counts in
   table
     [ "server"; "clients"; "ok"; "rejected"; "failed"; "ok/s"; "p50 ms"; "p95 ms"; "max ms" ]
     (List.map
@@ -873,15 +854,13 @@ let e11 ?(out = "BENCH_mux.json") ?(duration = 0.4)
     {
       Orb.default_server_policy with
       pool =
-        Some
-          (* Sleep-bound servants want way more workers than cores:
-             systhreads overlap the naps without burning 48 domains. *)
-          {
-            Orb.Pool.workers = 48;
-            queue_capacity = 64;
-            admission = Orb.Pool.Reject;
-            backend = Orb.Pool.Systhreads;
-          };
+        (* Sleep-bound servants want way more workers than cores:
+           systhreads overlap the naps without burning 48 domains. *)
+        {
+          Orb.Pool.workers = 48;
+          queue_capacity = 64;
+          backend = Orb.Pool.Systhreads;
+        };
     }
   in
   let protocols =
@@ -1246,9 +1225,7 @@ let e13 ?(out = "BENCH_multicore.json") ?(duration = 1.5)
     let policy =
       {
         Orb.default_server_policy with
-        pool =
-          Some
-            { Orb.Pool.default_config with workers; queue_capacity = 64; backend };
+        pool = { Orb.Pool.workers; queue_capacity = 64; backend };
       }
     in
     let server =
@@ -1277,7 +1254,7 @@ let e13 ?(out = "BENCH_multicore.json") ?(duration = 1.5)
                 | Some _ -> Atomic.incr ok
                 | None -> Atomic.incr failed
                 | exception Orb.System_exception _ ->
-                    (* Reject admission under saturation: back off. *)
+                    (* Rejected under saturation: back off. *)
                     Thread.delay 0.002
                 | exception _ -> Atomic.incr failed
               done;
@@ -1402,13 +1379,7 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
           {
             Orb.default_server_policy with
             pool =
-              Some
-                {
-                  Orb.Pool.default_config with
-                  workers;
-                  queue_capacity = 512;
-                  admission = Orb.Pool.Reject;
-                };
+              { Orb.Pool.default_config with workers; queue_capacity = 512 };
           }
         ()
     in

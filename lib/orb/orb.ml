@@ -38,23 +38,18 @@ let () =
    paper's configurable ORB (and RAFDA's distribution-policy
    separation). *)
 type server_policy = {
-  pool : Pool.config option;
-      (* Some: bounded worker pool (the default). None: the unbounded
-         thread-per-connection model the paper describes, kept for the
-         overload comparison (bench E10). *)
+  pool : Pool.config;  (* the bounded worker pool every request runs on *)
   max_connections : int;  (* 0 = unlimited; beyond it, idle-LRU evict *)
   max_pipelined : int;  (* per-connection in-flight cap; 0 = unlimited *)
   limits : Wire.Codec.limits;  (* decode budget for inbound frames *)
-  accept_backoff : float;  (* initial transient accept-failure sleep *)
 }
 
 let default_server_policy =
   {
-    pool = Some Pool.default_config;
+    pool = Pool.default_config;
     max_connections = 0;
     max_pipelined = 64;
     limits = Wire.Codec.default_limits;
-    accept_backoff = 0.01;
   }
 
 (* The client's connection-sharing policy. With [max_in_flight > 1] each
@@ -108,7 +103,9 @@ type t = {
   mutable bound_port : int;
   mutable running : bool;
   mutable draining : bool;  (* shutdown in its grace window *)
-  mutable pool : Pool.t option;  (* workers; created at [start] *)
+  mutable pool : Pool.t option;
+      (* workers; created at [start], dropped at [shutdown]: [None] means
+         not serving *)
   conns : (string * string * int, conn) Hashtbl.t;  (* endpoint -> cached conn *)
   client_chain : Interceptor.chain;
   server_chain : Interceptor.chain;
@@ -118,6 +115,10 @@ type t = {
       (* EWMA of pool-dispatch service time in µs (0 until the first
          completion) — the doomed-request shed threshold *)
   mux_peak : int Atomic.t;  (* highest in-flight count any connection saw *)
+  bootstrap_lock : Locked.t;
+      (* guards [bootstrap_registry], the slot and the table in it: the
+         Bootstrap servant runs on pool workers while [Bootstrap.bind]
+         runs on the application thread; rank [naming_registry] *)
   mutable bootstrap_registry : (string, Objref.t) Hashtbl.t option;
   fwd_cache : (string, Objref.t) Hashtbl.t;
       (* logical target (stringified) -> last Locate_forward redirect;
@@ -161,7 +162,7 @@ and sconn = {
   scomm : Communicator.t;
   s_write : Locked.t;  (* reply serialization; rank [communicator] *)
   mutable s_last_active : float;  (* for idle-LRU eviction *)
-  mutable s_inflight : int;  (* requests read but not yet answered *)
+  s_inflight : int Atomic.t;  (* requests read but not yet answered *)
   mutable s_nego : (string * Protocol.t) option;
       (* negotiation answer awaiting its reply, and the protocol the
          send side switches to once it is out; guarded by [s_write] *)
@@ -205,6 +206,9 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     next_req_id = 1;
     service_ewma_us = Atomic.make 0;
     mux_peak = Atomic.make 0;
+    bootstrap_lock =
+      Locked.create ~name:"bootstrap.registry"
+        ~rank:Locked.Rank.naming_registry;
     bootstrap_registry = None;
     fwd_cache = Hashtbl.create 8;
     (* Fixed seed: replica selection only needs spread, not entropy, and
@@ -426,21 +430,16 @@ let serve_connection t sc =
     | Some rep -> send_msg (Protocol.Reply rep)
     | None -> ()
   in
-  (* The broadcast wakes a thread-per-connection drain in [shutdown]. *)
-  let dec_inflight () =
-    with_lock t (fun () ->
-        sc.s_inflight <- sc.s_inflight - 1;
-        Locked.broadcast t.lock)
-  in
+  let dec_inflight () = Atomic.decr sc.s_inflight in
   let dispatch (req : Protocol.request) =
     let received_at = Unix.gettimeofday () in
     sc.s_last_active <- received_at;
     (* The wire budget is relative (no clock sync with the peer): anchor
-       it to our own receive time. Everything downstream — admission
-       waits, the pre-execution check — compares against this absolute
-       instant on the server's clock. Conservative by the network
-       transit time: we may execute work the client has just given up
-       on, never shed work it is still waiting for. *)
+       it to our own receive time. Everything downstream — pool
+       admission, the pre-execution check — compares against this
+       absolute instant on the server's clock. Conservative by the
+       network transit time: we may execute work the client has just
+       given up on, never shed work it is still waiting for. *)
     let expiry =
       Option.map
         (fun b -> received_at +. (float_of_int b /. 1e6))
@@ -451,109 +450,102 @@ let serve_connection t sc =
       | Some x -> Unix.gettimeofday () >= x
       | None -> false
     in
-    if with_lock t (fun () -> t.draining) then
-      reject_request req "draining: not accepting new requests"
-    else if
-      t.policy.max_pipelined > 0 && sc.s_inflight >= t.policy.max_pipelined
-    then
-      reject_request req
-        (Printf.sprintf "too many pipelined requests (limit %d)"
-           t.policy.max_pipelined)
-    else if expired_now () then
-      (* Shed point 1 (decode): the budget lapsed in transit — drop
-         before enqueueing anything. *)
-      expire_request req ~counter:"server:expired_pre_admission"
-        "expired before admission: request deadline budget lapsed"
-    else begin
-      with_lock t (fun () -> sc.s_inflight <- sc.s_inflight + 1);
-      match with_lock t (fun () -> t.pool) with
-      | None ->
-          (* Thread-per-connection mode: dispatch inline on the reader
-             thread, exactly the paper's Fig. 5 loop. No queue, so the
-             decode-point check above is the only shed point. *)
-          Fun.protect ~finally:dec_inflight (fun () -> finish_dispatch req)
-      | Some pool -> (
-          let job () =
-            Fun.protect ~finally:dec_inflight (fun () ->
-                (* Shed point 3 (pre-execution): a queued request whose
-                   budget lapsed while waiting is answered without ever
-                   running the servant — the zombie-work kill. A request
-                   that has not lapsed yet but whose remaining budget is
-                   below the learned service time is equally dead: it
-                   would be guaranteed to complete after its deadline,
-                   so executing it burns a worker on a reply nobody can
-                   use. Under FIFO saturation the oldest not-yet-expired
-                   request always has near-zero budget left, so without
-                   the doomed check expiry shedding alone recovers no
-                   goodput at all. *)
-                let doomed_now () =
-                  match expiry with
-                  | None -> false
-                  | Some x ->
-                      let ewma = Atomic.get t.service_ewma_us in
-                      ewma > 0
-                      && x -. Unix.gettimeofday ()
-                         < 1.25 *. float_of_int ewma /. 1e6
+    (* The request's one ORB-lock section. No pool (before [start],
+       after [shutdown]) is answered like draining. *)
+    match with_lock t (fun () -> if t.draining then None else t.pool) with
+    | None -> reject_request req "draining: not accepting new requests"
+    | Some _
+      when t.policy.max_pipelined > 0
+           && Atomic.get sc.s_inflight >= t.policy.max_pipelined ->
+        reject_request req
+          (Printf.sprintf "too many pipelined requests (limit %d)"
+             t.policy.max_pipelined)
+    | Some _ when expired_now () ->
+        (* Shed point 1 (decode): the budget lapsed in transit — drop
+           before enqueueing anything. *)
+        expire_request req ~counter:"server:expired_pre_admission"
+          "expired before admission: request deadline budget lapsed"
+    | Some pool -> (
+        Atomic.incr sc.s_inflight;
+        let job () =
+          Fun.protect ~finally:dec_inflight (fun () ->
+              (* Shed point 3 (pre-execution): a queued request whose
+                 budget lapsed while waiting is answered without ever
+                 running the servant — the zombie-work kill. A request
+                 that has not lapsed yet but whose remaining budget is
+                 below the learned service time is equally dead: it
+                 would be guaranteed to complete after its deadline,
+                 so executing it burns a worker on a reply nobody can
+                 use. Under FIFO saturation the oldest not-yet-expired
+                 request always has near-zero budget left, so without
+                 the doomed check expiry shedding alone recovers no
+                 goodput at all. *)
+              let doomed_now () =
+                match expiry with
+                | None -> false
+                | Some x ->
+                    let ewma = Atomic.get t.service_ewma_us in
+                    ewma > 0
+                    && x -. Unix.gettimeofday ()
+                       < 1.25 *. float_of_int ewma /. 1e6
+              in
+              if expired_now () then
+                try
+                  expire_request req ~counter:"server:expired_in_queue"
+                    "expired in queue: request deadline budget lapsed \
+                     before execution"
+                with _ -> (try Communicator.close comm with _ -> ())
+              else if doomed_now () then
+                try
+                  expire_request req ~counter:"server:doomed_in_queue"
+                    "doomed in queue: remaining deadline budget below \
+                     the service-time estimate"
+                with _ -> (try Communicator.close comm with _ -> ())
+              else begin
+                let run_started = Unix.gettimeofday () in
+                (try finish_dispatch req
+                 with _ ->
+                   (* The connection died under the reply: close it so
+                      the reader thread unwinds and reaps it. *)
+                   (try Communicator.close comm with _ -> ()));
+                let sample_us =
+                  int_of_float ((Unix.gettimeofday () -. run_started) *. 1e6)
                 in
-                if expired_now () then
-                  try
-                    expire_request req ~counter:"server:expired_in_queue"
-                      "expired in queue: request deadline budget lapsed \
-                       before execution"
-                  with _ -> (try Communicator.close comm with _ -> ())
-                else if doomed_now () then
-                  try
-                    expire_request req ~counter:"server:doomed_in_queue"
-                      "doomed in queue: remaining deadline budget below \
-                       the service-time estimate"
-                  with _ -> (try Communicator.close comm with _ -> ())
-                else begin
-                  let run_started = Unix.gettimeofday () in
-                  (try finish_dispatch req
-                   with _ ->
-                     (* The connection died under the reply: close it so
-                        the reader thread unwinds and reaps it. *)
-                     (try Communicator.close comm with _ -> ()));
-                  let sample_us =
-                    int_of_float ((Unix.gettimeofday () -. run_started) *. 1e6)
+                (* EWMA (alpha = 1/8) via CAS so concurrent workers
+                   never lose each other's updates. *)
+                let rec ewma_update () =
+                  let cur = Atomic.get t.service_ewma_us in
+                  let next =
+                    if cur = 0 then sample_us
+                    else cur + ((sample_us - cur) / 8)
                   in
-                  (* EWMA (alpha = 1/8) via CAS so concurrent workers
-                     never lose each other's updates. *)
-                  let rec ewma_update () =
-                    let cur = Atomic.get t.service_ewma_us in
-                    let next =
-                      if cur = 0 then sample_us
-                      else cur + ((sample_us - cur) / 8)
-                    in
-                    if not (Atomic.compare_and_set t.service_ewma_us cur next)
-                    then ewma_update ()
-                  in
-                  ewma_update ()
-                end)
-          in
-          (* Runs iff the pool is stopped while this request is still
-             queued (immediate shutdown): answer it like an admission
-             refusal so a pipelined client fails fast instead of
-             waiting out its call deadline on a silently dropped job. *)
-          let cancel () =
+                  if not (Atomic.compare_and_set t.service_ewma_us cur next)
+                  then ewma_update ()
+                in
+                ewma_update ()
+              end)
+        in
+        (* Runs iff the pool is stopped while this request is still
+           queued (immediate shutdown): answer it like an admission
+           refusal so a pipelined client fails fast instead of
+           waiting out its call deadline on a silently dropped job. *)
+        let cancel () =
+          dec_inflight ();
+          reject_request req "shutting down: request dropped before execution"
+        in
+        (* Shed point 2 (admission): a budget that lapsed between
+           decode and submit is shed before it takes a queue slot. *)
+        match Pool.submit pool ~cancel ?expire:expiry job with
+        | `Accepted ->
+            Obs.set_gauge t.obs ~name:"server:pool_depth"
+              (float_of_int (Pool.depth pool))
+        | `Rejected reason ->
             dec_inflight ();
-            reject_request req "shutting down: request dropped before execution"
-          in
-          (* Shed point 2 (admission): [?expire] caps any Block parking
-             at the request's own remaining budget. *)
-          match Pool.submit pool ~cancel ?expire:expiry job with
-          | `Accepted ->
-              Obs.set_gauge t.obs ~name:"server:pool_depth"
-                (float_of_int (Pool.depth pool))
-          | `Rejected reason ->
-              dec_inflight ();
-              reject_request req reason
-          | `Expired ->
-              dec_inflight ();
-              expire_request req ~counter:"server:expired_pre_admission"
-                "expired before admission: request deadline budget lapsed \
-                 while awaiting queue space")
-    end
+            reject_request req reason
+        | `Expired ->
+            dec_inflight ();
+            expire_request req ~counter:"server:expired_pre_admission"
+              "expired before admission: request deadline budget lapsed")
   in
   let rec loop () =
     match Communicator.recv_opt comm with
@@ -637,7 +629,9 @@ let admit_connection t sc =
         let limit = t.policy.max_connections in
         if limit > 0 && List.length t.accepted > limit then begin
           let candidates = List.filter (fun c -> c != sc) t.accepted in
-          let idle = List.filter (fun c -> c.s_inflight = 0) candidates in
+          let idle =
+            List.filter (fun c -> Atomic.get c.s_inflight = 0) candidates
+          in
           let stalest l =
             List.fold_left
               (fun best c ->
@@ -680,11 +674,13 @@ let start t =
          domain per worker is not instant, and nothing about it needs
          ORB state. [running] is already true, so a concurrent start
          cannot race another pool into existence. *)
-      (match with_lock t (fun () -> (t.policy.pool, t.pool)) with
-      | Some cfg, None ->
-          let p = Pool.create cfg in
-          with_lock t (fun () -> t.pool <- Some p)
-      | _ -> ());
+      if with_lock t (fun () -> t.pool = None) then begin
+        let p = Pool.create t.policy.pool in
+        with_lock t (fun () -> t.pool <- Some p)
+      end;
+      (* Initial sleep after a transient accept failure; doubles per
+         consecutive failure, capped at 1 s. *)
+      let initial_backoff = 0.01 in
       let accept_loop () =
         (* Inbound bytes are accounted to the listening endpoint (one
            bounded label per server), not per remote peer. *)
@@ -706,7 +702,7 @@ let start t =
                     Locked.create ~name:"sconn.write"
                       ~rank:Locked.Rank.communicator;
                   s_last_active = Unix.gettimeofday ();
-                  s_inflight = 0;
+                  s_inflight = Atomic.make 0;
                   s_nego = None;
                   s_negotiated = false;
                   s_codec;
@@ -714,7 +710,7 @@ let start t =
               in
               admit_connection t sc;
               ignore (Locked.spawn "orb.serve" (fun () -> serve_connection t sc));
-              loop t.policy.accept_backoff
+              loop initial_backoff
           | exception Transport.Transport_error msg ->
               (* Two very different failures share this exception: the
                  listener closing under us (shutdown — exit quietly) and
@@ -731,7 +727,7 @@ let start t =
                 loop (Float.min 1.0 (backoff *. 2.))
               end
         in
-        loop t.policy.accept_backoff
+        loop initial_backoff
       in
       ignore (Locked.spawn "orb.accept" accept_loop)
 
@@ -767,19 +763,18 @@ let close_connection conn err =
    remains. Without [drain_deadline] phase 2 is skipped entirely
    (immediate shutdown, the historical behavior). *)
 let shutdown ?drain_deadline t =
-  let listener, pool, was_running =
+  let listener, pool =
     with_lock t (fun () ->
         let l = t.listener in
         t.listener <- None;
-        let was = t.running in
         t.running <- false;
         t.draining <- true;
-        (l, t.pool, was))
+        (l, t.pool))
   in
   (match listener with Some l -> l.Transport.shutdown () | None -> ());
-  (match (drain_deadline, was_running) with
-  | None, _ | _, false -> ()
-  | Some grace, true ->
+  (match (drain_deadline, pool) with
+  | None, _ | _, None -> ()
+  | Some grace, Some pool ->
       let deadline = Some (Unix.gettimeofday () +. grace) in
       let span =
         if Obs.enabled t.obs then
@@ -789,24 +784,7 @@ let shutdown ?drain_deadline t =
                ())
         else None
       in
-      let result =
-        match pool with
-        | Some pool -> Pool.drain pool ~deadline
-        | None ->
-            (* Thread-per-connection mode: no queue to drain, only the
-               per-connection in-flight counts, which [dec_inflight]
-               broadcasts on the ORB lock. *)
-            with_lock t (fun () ->
-                let rec wait () =
-                  let n =
-                    List.fold_left (fun acc c -> acc + c.s_inflight) 0 t.accepted
-                  in
-                  if n = 0 then `Drained
-                  else if Locked.wait_until t.lock deadline then wait ()
-                  else `Aborted n
-                in
-                wait ())
-      in
+      let result = Pool.drain pool ~deadline in
       (match result with
       | `Drained -> Obs.incr t.obs ~name:"server:drained"
       | `Aborted n ->
@@ -1883,21 +1861,20 @@ let invoke_with t target ~op ~oneway ~timeout ~dispatched marshal =
 let invoke t target ~op ?(oneway = false) ?timeout marshal =
   invoke_with t target ~op ~oneway ~timeout ~dispatched:(ref false) marshal
 
+(* A two-way call yields no reply only when a client interceptor
+   rewrote it to oneway: a caller that needs the reply fails with this
+   diagnosable error instead of a dead thread. *)
+let completed_oneway ~who op =
+  System_exception
+    (Printf.sprintf "%s: operation %S completed as oneway, no reply" who op)
+
 (* A smart proxy (Section 5: Orbix smart proxies / Visibroker smart
    stubs) bound to this ORB's protocol codec. *)
 let smart_proxy t ?capacity ?invalidate_on target =
   let raw target ~op payload =
     match invoke_raw t target ~op payload with
     | Some reply -> reply
-    | None ->
-        (* Reachable when an interceptor rewrites the call to oneway:
-           there is no reply payload to cache or decode. Diagnosable
-           failure, not a dead proxy thread. *)
-        raise
-          (System_exception
-             (Printf.sprintf
-                "smart proxy: operation %S completed as oneway, no reply to cache"
-                op))
+    | None -> raise (completed_oneway ~who:"smart proxy" op)
   in
   Smart.create ?capacity ?invalidate_on ~codec:t.proto.Protocol.codec raw target
 
@@ -2061,30 +2038,35 @@ module Bootstrap = struct
   let oid = "bootstrap"
 
 
-  let skeleton registry =
+  let skeleton lock registry =
+    let locked f = Locked.with_lock lock f in
     Skeleton.create ~type_id
       [
         ( "bind",
           fun args _res ->
             let name = args.Wire.Codec.get_string () in
-            match Serial.get_byref args with
-            | Some r -> Hashtbl.replace registry name r
-            | None -> Hashtbl.remove registry name );
+            let r = Serial.get_byref args in
+            locked (fun () ->
+                match r with
+                | Some r -> Hashtbl.replace registry name r
+                | None -> Hashtbl.remove registry name) );
         ( "resolve",
           fun args res ->
             let name = args.Wire.Codec.get_string () in
-            match Hashtbl.find_opt registry name with
+            match locked (fun () -> Hashtbl.find_opt registry name) with
             | Some r -> Serial.put_byref res (Some r)
             | None -> failwith (Printf.sprintf "bootstrap: name %S is not bound" name)
         );
         ( "unbind",
           fun args _res ->
-            Hashtbl.remove registry (args.Wire.Codec.get_string ()) );
+            let name = args.Wire.Codec.get_string () in
+            locked (fun () -> Hashtbl.remove registry name) );
         ( "list",
           fun _args res ->
             let names =
               List.sort compare
-                (Hashtbl.fold (fun k _ acc -> k :: acc) registry [])
+                (locked (fun () ->
+                     Hashtbl.fold (fun k _ acc -> k :: acc) registry []))
             in
             res.Wire.Codec.put_len (List.length names);
             List.iter res.Wire.Codec.put_string names );
@@ -2092,17 +2074,19 @@ module Bootstrap = struct
 
   let serve t =
     let registry = Hashtbl.create 16 in
-    let r = export_named t ~oid (skeleton registry) in
-    t.bootstrap_registry <- Some registry;
+    let r = export_named t ~oid (skeleton t.bootstrap_lock registry) in
+    Locked.with_lock t.bootstrap_lock (fun () ->
+        t.bootstrap_registry <- Some registry);
     r
 
   let reference ~proto ~host ~port =
     Objref.make ~proto ~host ~port ~oid ~type_id
 
   let bind t ~name objref =
-    match t.bootstrap_registry with
-    | Some registry -> Hashtbl.replace registry name objref
-    | None -> invalid_arg "Bootstrap.bind: serve this ORB first"
+    Locked.with_lock t.bootstrap_lock (fun () ->
+        match t.bootstrap_registry with
+        | Some registry -> Hashtbl.replace registry name objref
+        | None -> invalid_arg "Bootstrap.bind: serve this ORB first")
 
   let resolve t boot ~name =
     match
@@ -2112,7 +2096,7 @@ module Bootstrap = struct
         match Serial.get_byref d with
         | Some r -> r
         | None -> raise (System_exception "bootstrap returned a nil reference"))
-    | None -> assert false
+    | None -> raise (completed_oneway ~who:"bootstrap" "resolve")
 
   let unbind t boot ~name =
     ignore
@@ -2125,7 +2109,7 @@ module Bootstrap = struct
     | Some d ->
         let n = d.Wire.Codec.get_len () in
         List.init n (fun _ -> d.Wire.Codec.get_string ())
-    | None -> assert false
+    | None -> raise (completed_oneway ~who:"bootstrap" "list")
 end
 
 (* ------------------------------------------------------------------ *)

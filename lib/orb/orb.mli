@@ -5,11 +5,12 @@
     the {e transport} (["tcp"] or the in-process ["mem"] loopback), and
     the skeletons' {e dispatch strategy}.
 
-    Server side: {!start} binds the bootstrap port and spawns one thread
-    per accepted connection (Fig. 5). Client side: {!invoke} implements
-    Fig. 4 — it builds a [Call], marshals via the caller's closure, sends
-    the request on a cached connection, and returns a decoder positioned
-    at the reply payload. *)
+    Server side: {!start} binds the bootstrap port and spawns one reader
+    thread per accepted connection, which hands each decoded request to
+    the bounded worker pool for Fig. 5's dispatch. Client side:
+    {!invoke} implements Fig. 4 — it builds a [Call], marshals via the
+    caller's closure, sends the request on a cached connection, and
+    returns a decoder positioned at the reply payload. *)
 
 (** {1 Submodules} *)
 
@@ -63,12 +64,10 @@ exception System_exception of string
     without touching dispatch (DESIGN.md "Server model and overload
     policy"). *)
 type server_policy = {
-  pool : Pool.config option;
-      (** [Some cfg]: requests decoded by connection reader threads are
-          executed by a bounded worker pool under [cfg]'s admission
-          policy (the default). [None]: unbounded thread-per-connection
-          inline dispatch — the paper's Fig. 5 model, kept for the
-          overload comparison (bench §E10). *)
+  pool : Pool.config;
+      (** The bounded worker pool that executes every request decoded by
+          the connection reader threads. A full queue is answered
+          ["overloaded"] at once (bench §E10). *)
   max_connections : int;
       (** Accepted-connection bound; past it the idle-longest connection
           is evicted (idle-LRU). [0] = unlimited (default). *)
@@ -81,15 +80,11 @@ type server_policy = {
           sequence length, nesting depth (see {!Wire.Codec.limits}).
           Violations are answered with a system-exception reply when the
           stream can be resynchronized, else the connection closes. *)
-  accept_backoff : float;
-      (** Initial sleep (seconds) after a transient accept failure, e.g.
-          fd exhaustion; doubles per consecutive failure, capped at 1s. *)
 }
 
 val default_server_policy : server_policy
 (** [Pool.default_config] workers, unlimited connections, 64 pipelined
-    requests per connection, {!Wire.Codec.default_limits}, 10 ms initial
-    accept backoff. *)
+    requests per connection, {!Wire.Codec.default_limits}. *)
 
 (** The client's connection-sharing policy (DESIGN.md "Client connection
     model"). Each cached outbound connection runs a reply
@@ -187,15 +182,16 @@ val create :
       succeeds. Disabled by default.
 
     [server_policy] — the overload policy (see {!server_policy});
-    defaults to {!default_server_policy}: a bounded worker pool with
-    reject admission and default decode limits.
+    defaults to {!default_server_policy}: the default worker pool and
+    default decode limits.
 
     [mux] — the client connection-sharing policy (see {!mux}); defaults
     to {!default_mux} (multiplexed, 32 calls in flight per connection). *)
 
 val start : t -> unit
-(** Bind the bootstrap port and start accepting connections (creating
-    the worker pool when the policy asks for one). Idempotent. *)
+(** Bind the bootstrap port, create the worker pool and start accepting
+    connections. Idempotent; an ORB that was {!shutdown} can be started
+    again. *)
 
 val shutdown : ?drain_deadline:float -> t -> unit
 (** Stop the server. Phase 1 always: close the listener and flip the
@@ -342,9 +338,9 @@ type stats = {
           exception, none silently dropped. *)
   expired_pre_admission : int;
       (** Requests shed before entering the pool queue: their deadline
-          budget had already lapsed at decode time, or lapsed while the
-          reader was blocked awaiting queue space. Answered with an
-          ["expired before admission"] system exception. *)
+          budget had already lapsed at decode time or at pool admission.
+          Answered with an ["expired before admission"] system
+          exception. *)
   expired_in_queue : int;
       (** Requests admitted to the queue but shed at worker pickup — the
           servant never ran (the zombie-work kill). Two flavours, both
@@ -363,8 +359,10 @@ type stats = {
   drain_aborted_jobs : int;
       (** Admitted dispatches abandoned because a drain deadline passed
           before they completed. *)
-  pool_depth : int;  (** Requests queued in the pool right now (0 without a pool). *)
-  pool_active : int;  (** Pool workers currently executing (0 without a pool). *)
+  pool_depth : int;
+      (** Requests queued in the pool right now (0 before start). *)
+  pool_active : int;
+      (** Pool workers currently executing (0 before start). *)
   mux_in_flight : int;
       (** Client calls currently awaiting replies, summed over cached
           connections. *)
@@ -445,10 +443,14 @@ module Bootstrap : sig
 
   val resolve : t -> Objref.t -> name:string -> Objref.t
   (** Remote resolve via a bootstrap reference.
-      @raise System_exception when unbound. *)
+      @raise System_exception when unbound, or when a client interceptor
+      rewrote the call to oneway (no reply to decode). *)
 
   val unbind : t -> Objref.t -> name:string -> unit
+
   val list_names : t -> Objref.t -> string list
+  (** @raise System_exception when a client interceptor rewrote the
+      call to oneway. *)
 end
 
 (** The ORB bindings of the lease-based naming service (see {!Naming}

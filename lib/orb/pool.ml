@@ -2,10 +2,9 @@
    overload policy, separated from dispatch logic in the spirit of the
    paper's "policy is configuration, not code". Connection reader
    threads decode requests and [submit] them here; a fixed set of
-   workers executes them. The queue is bounded, and what happens at the
-   bound is the admission policy: reject immediately (shed load, keep
-   latency) or block the submitting reader (backpressure through the
-   transport) up to a deadline.
+   workers executes them. The queue is bounded, and a submit against a
+   full queue is rejected at once: the server sheds load and keeps its
+   latency instead of parking the reader.
 
    Workers come in two shapes. [Domains] (the default) runs one OCaml
    domain per worker: CPU-bound dispatches execute in parallel on
@@ -18,22 +17,18 @@
    synchronize threads and domains alike, so admission semantics are
    identical across backends.
 
-   Deadline-bounded waits ([Block] admission, [drain]) are plain
-   condition loops over [Locked.wait_until_c], the runtime's one timed
-   wait. *)
+   The one deadline-bounded wait, [drain], is a plain condition loop
+   over [Locked.wait_until_c], the runtime's one timed wait. *)
 
-type admission = Reject | Block of float option
 type backend = Systhreads | Domains
 
 type config = {
   workers : int;
   queue_capacity : int;
-  admission : admission;
   backend : backend;
 }
 
-let default_config =
-  { workers = 8; queue_capacity = 64; admission = Reject; backend = Domains }
+let default_config = { workers = 8; queue_capacity = 64; backend = Domains }
 
 (* A queued job and what to do with it if the pool is stopped before a
    worker picks it up. The cancel callback must answer the peer (a
@@ -45,7 +40,7 @@ type t = {
   config : config;
   lock : Locked.t;  (* rank [pool] *)
   nonempty : Locked.cond;  (* workers park here waiting for jobs *)
-  change : Locked.cond;  (* space freed / job finished / state flipped *)
+  change : Locked.cond;  (* job finished: [drain] re-checks *)
   queue : job Queue.t;
   mutable accepting : bool;
   mutable stopping : bool;
@@ -63,8 +58,6 @@ let rec worker_loop t =
           if not (Queue.is_empty t.queue) then begin
             let job = Queue.pop t.queue in
             t.active <- t.active + 1;
-            (* Queue space freed: wake blocked submitters. *)
-            Locked.broadcast_c t.change;
             Some job
           end
           else if t.stopping then None
@@ -125,52 +118,28 @@ let create config =
   t
 
 let submit t ?(cancel = fun () -> ()) ?expire run =
-  let job = { run; cancel } in
-  (* [expire] — the request's own remaining-budget instant — bounds
-     EVERY blocking wait: an admission policy must never park a reader
-     past the moment the caller gives up, so the effective wait deadline
-     is the min of the admission deadline and the expiry, and a lapsed
-     expiry is reported as [`Expired], distinct from an overload
-     rejection. *)
-  let deadline =
-    match t.config.admission with
-    | Reject -> None
-    | Block None -> expire
-    | Block (Some s) ->
-        let d = Unix.gettimeofday () +. s in
-        Some (match expire with Some x -> Float.min d x | None -> d)
-  in
-  let lapsed () =
+  (* [expire] is the request's own remaining-budget instant: a budget
+     already lapsed at admission is reported as [`Expired], distinct
+     from an overload rejection. *)
+  let lapsed =
     match expire with Some x -> Unix.gettimeofday () >= x | None -> false
   in
   Locked.with_lock t.lock (fun () ->
-      let reject reason =
+      let refuse outcome =
         t.rejected <- t.rejected + 1;
-        `Rejected reason
+        outcome
       in
-      let expired () =
-        t.rejected <- t.rejected + 1;
-        `Expired
-      in
-      let rec attempt () =
-        if lapsed () then expired ()
-        else if not t.accepting then
-          reject "draining: not accepting new requests"
-        else if Queue.length t.queue < t.config.queue_capacity then begin
-          Queue.push job t.queue;
-          t.submitted <- t.submitted + 1;
-          Locked.signal_c t.nonempty;
-          `Accepted
-        end
-        else
-          match t.config.admission with
-          | Reject -> reject "overloaded: request queue is full"
-          | Block _ ->
-              if Locked.wait_until_c t.change deadline then attempt ()
-              else if lapsed () then expired ()
-              else reject "overloaded: queue full past admission deadline"
-      in
-      attempt ())
+      if lapsed then refuse `Expired
+      else if not t.accepting then
+        refuse (`Rejected "draining: not accepting new requests")
+      else if Queue.length t.queue >= t.config.queue_capacity then
+        refuse (`Rejected "overloaded: request queue is full")
+      else begin
+        Queue.push { run; cancel } t.queue;
+        t.submitted <- t.submitted + 1;
+        Locked.signal_c t.nonempty;
+        `Accepted
+      end)
 
 let depth t = Locked.with_lock t.lock (fun () -> Queue.length t.queue)
 let active t = Locked.with_lock t.lock (fun () -> t.active)
@@ -184,9 +153,6 @@ let stats t =
 let drain t ~deadline =
   Locked.with_lock t.lock (fun () ->
       t.accepting <- false;
-      (* Wake submitters blocked on admission so they observe the drain
-         and reject instead of waiting on space that may never free. *)
-      Locked.broadcast_c t.change;
       let rec wait () =
         if Queue.is_empty t.queue && t.active = 0 then `Drained
         else if Locked.wait_until_c t.change deadline then wait ()

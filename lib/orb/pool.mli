@@ -2,22 +2,12 @@
     overload policy (see DESIGN.md "Server model and overload policy").
 
     Connection reader threads decode requests and {!submit} them; a
-    fixed set of workers executes them. The pending queue is bounded;
-    the {!admission} policy decides what happens at the bound, and the
-    {!backend} decides what a worker is: an OCaml domain (parallel
-    dispatch, the default) or a systhread (one shared runtime lock,
-    kept as the E13 control and for I/O-bound workloads that want more
-    workers than cores). *)
-
-type admission =
-  | Reject
-      (** Shed load: a submit against a full queue fails immediately —
-          the server answers ["overloaded"] and stays responsive. *)
-  | Block of float option
-      (** Backpressure: the submitting reader blocks until queue space
-          frees, at most the given seconds ([None] = indefinitely).
-          Blocking the reader stops that connection's intake, pushing
-          the overload back through the transport to the client. *)
+    fixed set of workers executes them. The pending queue is bounded:
+    a submit against a full queue fails immediately, so the server
+    answers ["overloaded"] and stays responsive. The {!backend} decides
+    what a worker is: an OCaml domain (parallel dispatch, the default)
+    or a systhread (one shared runtime lock, kept as the E13 control
+    and for I/O-bound workloads that want more workers than cores). *)
 
 type backend =
   | Systhreads
@@ -32,12 +22,11 @@ type backend =
 type config = {
   workers : int;  (** Worker count (min 1). *)
   queue_capacity : int;  (** Pending-request bound (min 1). *)
-  admission : admission;
   backend : backend;
 }
 
 val default_config : config
-(** 8 workers, 64 queued requests, [Reject] admission, [Domains]. *)
+(** 8 workers, 64 queued requests, [Domains]. *)
 
 type t
 
@@ -50,18 +39,16 @@ val submit :
   ?expire:float ->
   (unit -> unit) ->
   [ `Accepted | `Rejected of string | `Expired ]
-(** Enqueue a job, subject to admission control. [`Rejected reason]
-    when the queue is full (under [Reject], or past the [Block]
-    deadline) or the pool is draining/stopped. The job must not raise;
-    residual exceptions are swallowed to protect the worker.
+(** Enqueue a job if the queue has room; never blocks. [`Rejected
+    reason] when the queue is full (["overloaded: ..."]) or the pool is
+    draining/stopped. The job must not raise; residual exceptions are
+    swallowed to protect the worker.
 
     [expire] is the request's own remaining-budget instant (absolute,
-    [Unix.gettimeofday] domain): no [Block] admission wait ever parks
-    past it — the effective wait bound is the min of the admission
-    deadline and [expire] — and a lapsed budget returns [`Expired]
-    (counted as a rejection in {!stats}), distinct from an overload
-    [`Rejected], so the server can answer "expired" rather than
-    "overloaded".
+    [Unix.gettimeofday] domain): a budget already lapsed at submit
+    returns [`Expired] (counted as a rejection in {!stats}), distinct
+    from an overload [`Rejected], so the server can answer "expired"
+    rather than "overloaded".
 
     [cancel] runs (at most once, never together with the job) if the
     pool is stopped while the job is still queued: the submitter's

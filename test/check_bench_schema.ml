@@ -1,6 +1,7 @@
-(* Schema check for bench artifacts (BENCH_obs.json / BENCH_overload.json
-   / BENCH_mux.json), run from the [bench-smoke] alias. Dispatches on the
-   "experiment" field.
+(* Schema check for bench artifacts (BENCH_*.json), run from the
+   [bench-smoke] alias on fresh smoke outputs and from [runtest] on the
+   committed root artifacts. Dispatches on each file's "experiment"
+   field.
    Validates structure and invariants — NOT the measured figures
    themselves, which are hardware- and load-dependent: the point of the
    smoke test is that the bench runs end-to-end and emits a well-formed,
@@ -291,17 +292,14 @@ let check_e10 path root =
             (Printf.sprintf "cell %s must be >= 0" f))
         [ "p50_ms"; "p95_ms"; "max_ms" ])
     cells;
-  (* Both serving models must appear, and the run must have completed
-     real work under at least one configuration. *)
+  (* The bounded pool must appear, and the run must have completed real
+     work in at least one cell. *)
   let servers = List.map (fun c -> want_str c "server") cells in
   check
     (List.exists
        (fun s -> String.length s >= 4 && String.sub s 0 4 = "pool")
        servers)
     "cells must include a bounded-pool configuration";
-  check
-    (List.mem "thread-per-conn" servers)
-    "cells must include the thread-per-connection configuration";
   check
     (List.exists (fun c -> want_num c "ok" > 0.) cells)
     "at least one cell must complete calls";
@@ -644,8 +642,7 @@ let check_e15 path root =
   Printf.printf "%s: schema OK (%d rows; text/hcx bytes ratio %.2fx at %g B)\n"
     path (List.length rows) (ratio (List.hd sizes)) (List.hd sizes)
 
-let () =
-  let path = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_obs.json" in
+let check_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
@@ -664,3 +661,9 @@ let () =
   with Bad msg ->
     Printf.eprintf "%s: schema check FAILED: %s\n" path msg;
     exit 1
+
+(* Usage: check_bench_schema [FILE...] (default BENCH_obs.json). *)
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> check_file "BENCH_obs.json"
+  | paths -> List.iter check_file paths

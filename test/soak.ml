@@ -73,7 +73,7 @@ let servant_runs = Atomic.make 0
 (* Relative budgets are anchored where they are stamped, so time a
    request spends between stamping and the server's decode is slack the
    server cannot see. The soak keeps that slack bounded and small —
-   Reject admission (readers never park, so decode is prompt) and fewer
+   pool admission never parks a reader, so decode is prompt, and fewer
    workers than the client mux in-flight cap (no client-side queueing)
    — and the grace absorbs what remains plus scheduling noise. *)
 let zombie_grace = 0.05
@@ -101,22 +101,16 @@ let tripwire_skeleton () =
 (* ------------------------- replicas ---------------------------- *)
 
 (* Two replicas behind one multi-endpoint reference, each with a small
-   pool (2 workers, short queue, Reject admission so readers decode
-   promptly) so that the overload phases actually queue work and tiny
-   budgets lapse while queued. The chaos timeline kills one and restarts it on the same
-   port, E12-style, so drains and failovers run concurrently with the
-   fault plan. *)
+   pool (2 workers, short queue; a full queue is rejected at once, so
+   readers decode promptly) so that the overload phases actually queue
+   work and tiny budgets lapse while queued. The chaos timeline kills
+   one and restarts it on the same port, E12-style, so drains and
+   failovers run concurrently with the fault plan. *)
 let small_pool_policy () =
   {
     Orb.default_server_policy with
     pool =
-      Some
-        {
-          Orb.Pool.workers = 2;
-          queue_capacity = 8;
-          admission = Orb.Pool.Reject;
-          backend = Orb.Pool.Domains;
-        };
+      { Orb.Pool.workers = 2; queue_capacity = 8; backend = Orb.Pool.Domains };
   }
 
 let start_replica ~port =
@@ -192,9 +186,13 @@ let one_call client target t rng =
         e.Wire.Codec.put_string (Printf.sprintf "%.6f" lapse_at);
         e.Wire.Codec.put_long sleep_us)
   with
-  | Some d ->
-      let (_ : string) = d.Wire.Codec.get_string () in
-      Atomic.incr t.ok
+  | Some d -> (
+      match d.Wire.Codec.get_string () with
+      | (_ : string) -> Atomic.incr t.ok
+      | exception Wire.Codec.Type_error _ ->
+          (* A fault-corrupted reply whose envelope still decoded: the
+             flipped byte landed in the payload. Definite, permanent. *)
+          Atomic.incr t.protocol_err)
   | None -> Atomic.incr t.ok
   | exception Orb.Transport.Timeout _ -> Atomic.incr t.timeout
   | exception Orb.System_exception _ -> Atomic.incr t.system_err

@@ -82,6 +82,69 @@ let test_bind_before_serve_fails () =
   | _ -> Alcotest.fail "bind before serve accepted");
   Orb.shutdown orb
 
+let test_concurrent_remote_binds () =
+  (* The registry is mutated from pool workers (remote binds, on worker
+     domains by default) and from the application thread ([B.bind]):
+     every bind must land, and the armed lock checker must stay quiet. *)
+  let was = Locked.checking () in
+  Locked.set_checking true;
+  Locked.reset_violations ();
+  Fun.protect
+    ~finally:(fun () -> Locked.set_checking was)
+    (fun () ->
+      with_server (fun ~server ~client ->
+          let boot = B.serve server in
+          let e = Orb.export server (echo_skeleton ()) in
+          let threads = 6 and per_thread = 20 in
+          let name i j = Printf.sprintf "svc-%d-%02d" i j in
+          let workers =
+            List.init threads (fun i ->
+                Thread.create
+                  (fun () ->
+                    for j = 1 to per_thread do
+                      ignore
+                        (Orb.invoke client boot ~op:"bind" (fun enc ->
+                             enc.Wire.Codec.put_string (name i j);
+                             Orb.Serial.put_byref enc (Some e)))
+                    done)
+                  ())
+          in
+          for j = 1 to per_thread do
+            B.bind server ~name:(name threads j) e
+          done;
+          List.iter Thread.join workers;
+          let expected =
+            List.sort compare
+              (List.concat
+                 (List.init (threads + 1) (fun i ->
+                      List.init per_thread (fun j -> name i (j + 1)))))
+          in
+          Alcotest.(check (list string)) "every bind landed" expected
+            (B.list_names client boot);
+          Alcotest.(check (list string)) "no lock-rank violations" []
+            (Locked.violations ())))
+
+let test_oneway_rewrite_is_diagnosable () =
+  (* An interceptor rewriting resolve/list to oneway leaves [invoke]
+     with no reply: a System_exception naming the operation, not an
+     assertion failure. *)
+  with_server (fun ~server ~client ->
+      let boot = B.serve server in
+      B.bind server ~name:"x" (Orb.export server (echo_skeleton ()));
+      Orb.Interceptor.add
+        (Orb.client_interceptors client)
+        (Orb.Interceptor.make "force-oneway" ~on_request:(fun req ->
+             { req with Orb.Protocol.oneway = true }));
+      let expect_oneway op f =
+        match f () with
+        | exception Orb.System_exception m ->
+            Tutil.check_contains ~what:"oneway reported" m "oneway";
+            Tutil.check_contains ~what:"operation named" m op
+        | _ -> Alcotest.failf "%s: expected System_exception" op
+      in
+      expect_oneway "resolve" (fun () -> ignore (B.resolve client boot ~name:"x"));
+      expect_oneway "list" (fun () -> ignore (B.list_names client boot)))
+
 let test_well_known_reference_shape () =
   let r = B.reference ~proto:"tcp" ~host:"galaxy.nec.com" ~port:1234 in
   Alcotest.(check string) "stringified"
@@ -101,5 +164,9 @@ let () =
           Alcotest.test_case "bind before serve" `Quick test_bind_before_serve_fails;
           Alcotest.test_case "well-known reference shape" `Quick
             test_well_known_reference_shape;
+          Alcotest.test_case "concurrent remote binds" `Quick
+            test_concurrent_remote_binds;
+          Alcotest.test_case "oneway rewrite is diagnosable" `Quick
+            test_oneway_rewrite_is_diagnosable;
         ] );
     ]

@@ -210,12 +210,7 @@ let test_shutdown_answers_queued_requests () =
         {
           Orb.default_server_policy with
           pool =
-            Some
-              {
-                Orb.Pool.default_config with
-                workers = 1;
-                queue_capacity = 8;
-              };
+            { Orb.Pool.default_config with workers = 1; queue_capacity = 8 };
         }
       ()
   in

@@ -23,15 +23,13 @@ let echo_skeleton ?(noted = Atomic.make 0) () =
 let wide_pool =
   { Orb.default_server_policy with
     pool =
-      Some
-        (* Nap servants, not compute: systhreads overlap the sleeps
-           without needing 24 domains. *)
-        {
-          Orb.Pool.workers = 24;
-          queue_capacity = 64;
-          admission = Orb.Pool.Reject;
-          backend = Orb.Pool.Systhreads;
-        }
+      (* Nap servants, not compute: systhreads overlap the sleeps
+         without needing 24 domains. *)
+      {
+        Orb.Pool.workers = 24;
+        queue_capacity = 64;
+        backend = Orb.Pool.Systhreads;
+      }
   }
 
 let eventually ?(timeout = 5.0) ?(msg = "condition") cond =

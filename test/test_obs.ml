@@ -467,8 +467,7 @@ let test_stats_view_of_registry () =
       ~server_policy:
         {
           Orb.default_server_policy with
-          pool =
-            Some { Orb.Pool.default_config with workers = 1; queue_capacity = 1 };
+          pool = { Orb.Pool.default_config with workers = 1; queue_capacity = 1 };
         }
       ()
   in

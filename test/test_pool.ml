@@ -1,5 +1,5 @@
 (* Server-hardening tests: the bounded worker pool and its admission
-   policies, per-connection pipelining caps, idle-LRU connection
+   control, per-connection pipelining caps, idle-LRU connection
    eviction, graceful drain, and the overload soak with conservation
    accounting (every request is served, rejected or provably never
    dispatched — none vanish). *)
@@ -100,7 +100,7 @@ let test_pool_rejects_when_full () =
   | `Accepted -> ()
   | `Rejected r -> Alcotest.failf "queued job rejected: %s" r
   | `Expired -> Alcotest.fail "queued job unexpectedly expired");
-  (* Third job: queue is full, Reject admission fails immediately. *)
+  (* Third job: queue is full, admission fails immediately. *)
   (match Orb.Pool.submit pool (fun () -> ()) with
   | `Accepted -> Alcotest.fail "expected rejection on a full queue"
   | `Expired -> Alcotest.fail "expected rejection, got expiry"
@@ -110,52 +110,6 @@ let test_pool_rejects_when_full () =
   release ();
   eventually ~msg:"jobs drained" (fun () ->
       (Orb.Pool.stats pool).Orb.Pool.completed = 2);
-  ignore (Orb.Pool.stop pool)
-
-let test_pool_block_admission_deadline () =
-  let pool =
-    Orb.Pool.create
-      {
-        Orb.Pool.default_config with
-        workers = 1;
-        queue_capacity = 1;
-        admission = Orb.Pool.Block (Some 0.08);
-      }
-  in
-  let wait, release = make_gate () in
-  ignore (Orb.Pool.submit pool wait);
-  eventually ~msg:"worker busy" (fun () -> Orb.Pool.active pool = 1);
-  ignore (Orb.Pool.submit pool wait);
-  (* Queue full and the worker never frees it: the blocking submit must
-     give up at its deadline, not hang. *)
-  let t0 = Unix.gettimeofday () in
-  (match Orb.Pool.submit pool (fun () -> ()) with
-  | `Accepted -> Alcotest.fail "expected deadline rejection"
-  | `Expired -> Alcotest.fail "expected deadline rejection, got expiry"
-  | `Rejected reason ->
-      Alcotest.(check bool) "reason names the deadline" true
-        (Tutil.contains reason "deadline"));
-  let waited = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "blocked about the deadline (%.3fs)" waited)
-    true
-    (waited >= 0.07 && waited < 1.0);
-  (* And when space DOES free, a blocking submit goes through. *)
-  let accepted = ref false in
-  let t =
-    Thread.create
-      (fun () ->
-        match Orb.Pool.submit pool (fun () -> ()) with
-        | `Accepted -> accepted := true
-        | `Rejected _ | `Expired -> ())
-      ()
-  in
-  Thread.delay 0.02;
-  release ();
-  Thread.join t;
-  Alcotest.(check bool) "unblocked submit accepted" true !accepted;
-  eventually ~msg:"all done" (fun () ->
-      Orb.Pool.depth pool = 0 && Orb.Pool.active pool = 0);
   ignore (Orb.Pool.stop pool)
 
 let test_pool_drain () =
@@ -209,7 +163,7 @@ let test_overload_rejects_with_system_exception () =
      hang. *)
   let server =
     Orb.create ~transport:"mem" ~host:"local"
-      ~server_policy:{ Orb.default_server_policy with pool = Some tiny_pool }
+      ~server_policy:{ Orb.default_server_policy with pool = tiny_pool }
       ()
   in
   Orb.start server;
@@ -477,6 +431,39 @@ let test_draining_rejects_new_requests () =
   Thread.join shut;
   List.iter Orb.shutdown [ client; holder ]
 
+let test_same_orb_restart () =
+  (* start -> shutdown -> start on ONE Orb.t, on a fixed port: shutdown
+     drops the pool, so the second start must create a fresh one and
+     serve again. *)
+  let port = 47321 in
+  let server = Orb.create ~transport:"mem" ~host:"local" ~port () in
+  let call target s =
+    let client =
+      Orb.create ~transport:"mem" ~host:"local" ~retry:Orb.Retry.none ()
+    in
+    Fun.protect
+      ~finally:(fun () -> Orb.shutdown client)
+      (fun () ->
+        match
+          Orb.invoke client target ~op:"echo" (fun e ->
+              e.Wire.Codec.put_string s)
+        with
+        | Some d ->
+            Alcotest.(check string) "reply" ("echo:" ^ s)
+              (d.Wire.Codec.get_string ())
+        | None -> Alcotest.fail "expected a reply")
+  in
+  Orb.start server;
+  let target = Orb.export server (echo_skeleton ()) in
+  call target "first";
+  Alcotest.(check int) "served before restart" 1 (Orb.stats server).Orb.served;
+  Orb.shutdown server;
+  Orb.start server;
+  Alcotest.(check int) "same port" port (Orb.port server);
+  call target "second";
+  Alcotest.(check int) "served after restart" 2 (Orb.stats server).Orb.served;
+  Orb.shutdown server
+
 (* ---------------- deadline budgets ---------------- *)
 
 (* A servant with a tripwire: executing "mark" proves the server ran
@@ -518,7 +505,7 @@ let test_budget_expires_in_queue () =
   let ran = Atomic.make false in
   let server =
     Orb.create ~transport:"mem" ~host:"local"
-      ~server_policy:{ Orb.default_server_policy with pool = Some tiny_pool }
+      ~server_policy:{ Orb.default_server_policy with pool = tiny_pool }
       ()
   in
   Orb.start server;
@@ -592,7 +579,7 @@ let test_shutdown_expiry_exactly_one_reply () =
   let ran = Atomic.make false in
   let server =
     Orb.create ~transport:"mem" ~host:"local"
-      ~server_policy:{ Orb.default_server_policy with pool = Some tiny_pool }
+      ~server_policy:{ Orb.default_server_policy with pool = tiny_pool }
       ()
   in
   Orb.start server;
@@ -655,13 +642,7 @@ let test_soak_conservation () =
       ~server_policy:
         {
           Orb.default_server_policy with
-          pool =
-            Some
-              {
-                Orb.Pool.default_config with
-                workers = 4;
-                queue_capacity = 8;
-              };
+          pool = { Orb.Pool.default_config with workers = 4; queue_capacity = 8 };
         }
       ()
   in
@@ -717,8 +698,6 @@ let () =
         [
           Alcotest.test_case "runs jobs" `Quick test_pool_runs_jobs;
           Alcotest.test_case "rejects when full" `Quick test_pool_rejects_when_full;
-          Alcotest.test_case "block admission deadline" `Quick
-            test_pool_block_admission_deadline;
           Alcotest.test_case "drain" `Quick test_pool_drain;
         ] );
       ( "overload",
@@ -735,6 +714,7 @@ let () =
           Alcotest.test_case "deadline aborts" `Quick test_drain_deadline_aborts;
           Alcotest.test_case "rejects during window" `Quick
             test_draining_rejects_new_requests;
+          Alcotest.test_case "same-ORB restart" `Quick test_same_orb_restart;
         ] );
       ( "deadline",
         [
