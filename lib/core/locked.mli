@@ -18,7 +18,6 @@ module Rank : sig
   (* Higher rank = acquired first (outermost). While holding rank [r],
      only locks of rank [< r] may be taken. *)
 
-  val nego : int (* 72 — per-connection codec-negotiation gate *)
   val communicator : int (* 70 — per-connection send/exchange locks *)
   val pool : int (* 60 — server worker pool queue *)
   val connection_cache : int (* 50 — ORB state: conns, counters, rng *)
@@ -27,7 +26,7 @@ module Rank : sig
   val adapter : int (* 45 — object adapter servant table *)
   val naming_registry : int (* 44 — naming lease registry *)
   val naming_resolver : int (* 43 — client-side resolve cache *)
-  val mux : int (* 40 — per-connection reply demultiplexer *)
+  val mux : int (* 40 — per-connection reply demux + negotiation state *)
   val breaker : int (* 30 — per-endpoint circuit breakers *)
   val mem_registry : int (* 28 — in-memory transport port table *)
   val mem_listener : int (* 26 — in-memory listener accept queue *)

@@ -66,11 +66,12 @@ let default_mux = { max_in_flight = 32 }
 (* Below the default server policy's [max_pipelined] (64), so a default
    client never trips a default server's pipelining cap. *)
 
-(* Client-side negotiation state of one connection, guarded by its
-   [nego_lock]. [Nego_offering] is the hold-until-answer gate: while an
-   offer's roundtrip is in flight every other send on the connection
-   waits, so the encoding switch lands on a quiet stream — no frame of
-   the old encoding can be in flight when either side re-points its
+(* Client-side negotiation state of one connection, part of its demux
+   state and guarded by [mx_lock]. [Nego_offering] is the
+   hold-until-answer gate: while an offer's roundtrip is in flight every
+   other send on the connection is held at mux admission, so the
+   encoding switch lands on a quiet stream — no frame of the old
+   encoding can be in flight when either side re-points its
    communicator. *)
 type nego_state =
   | Nego_idle  (* negotiation off, already resolved, or fallen back *)
@@ -110,7 +111,7 @@ type t = {
   client_chain : Interceptor.chain;
   server_chain : Interceptor.chain;
   mutable accepted : sconn list;  (* server-side connections *)
-  mutable next_req_id : int;
+  next_req_id : int Atomic.t;
   service_ewma_us : int Atomic.t;
       (* EWMA of pool-dispatch service time in µs (0 until the first
          completion) — the doomed-request shed threshold *)
@@ -133,24 +134,24 @@ and conn = {
   comm : Communicator.t;
   conn_lock : Locked.t;  (* send lock; rank [communicator] *)
   mux : mux_state;
-  nego_lock : Locked.t;  (* negotiation gate; rank [nego] *)
-  mutable nego : nego_state;  (* guarded by [nego_lock] *)
   c_codec : string ref;
       (* current codec label for per-codec byte metering; re-pointed at
          the negotiated switch *)
 }
 
-(* Demultiplexer state, guarded by [mx_mutex]. Waiters register a cell
-   in [mx_pending] keyed by request id before sending; the connection's
-   reader thread fills the cell and signals [mx_cond]. [mx_dead] is the
-   terminal state: set once by whoever observes the connection die
-   (reader I/O failure, send failure, a waiter's deadline expiring),
-   after which every current and future waiter fails with that error. *)
+(* Demultiplexer state, guarded by [mx_lock]. Waiters register a cell
+   in [mx_pending] keyed by request id before sending, so its size is
+   the number of replies the connection owes; the connection's reader
+   thread fills the cell and broadcasts. [mx_dead] is the terminal
+   state: set once by whoever observes the connection die (reader I/O
+   failure, send failure, a waiter's deadline expiring), after which
+   every current and future waiter fails with that error. *)
 and mux_state = {
-  mx_lock : Locked.t;  (* rank [mux]; intrinsic cond: delivery/death/slot free *)
+  mx_lock : Locked.t;
+      (* rank [mux]; intrinsic cond: delivery/death/slot free/offer settled *)
   mx_pending : (int, Protocol.message option ref) Hashtbl.t;
   mutable mx_dead : exn option;
-  mutable mx_inflight : int;  (* registered waiters = replies owed *)
+  mutable mx_nego : nego_state;
   mx_limit : int;  (* admission bound: mux.max_in_flight *)
   mx_gauge : string;  (* obs gauge name, precomputed off the hot path *)
 }
@@ -203,7 +204,7 @@ let create ?(protocol = Protocol.text) ?(codecs = [])
     client_chain = Interceptor.empty_chain ();
     server_chain = Interceptor.empty_chain ();
     accepted = [];
-    next_req_id = 1;
+    next_req_id = Atomic.make 1;
     service_ewma_us = Atomic.make 0;
     mux_peak = Atomic.make 0;
     bootstrap_lock =
@@ -743,7 +744,9 @@ let mux_gauge t mx n = Obs.set_gauge t.obs ~name:mx.mx_gauge (float_of_int n)
    Closing a connection must go through here: besides closing the
    channel it wakes the waiters AND the reader thread, which may be
    parked on the demux condvar (idle, nothing in flight) where a plain
-   close would never reach it. *)
+   close would never reach it. Senders held at mux admission behind an
+   offer wake too: admission checks [mx_dead] before the negotiation
+   state, so a death mid-offer needs no separate settling. *)
 let close_connection conn err =
   let mx = conn.mux in
   let first =
@@ -879,9 +882,8 @@ let mux_reader t conn =
           | Some cell ->
               cell := Some reply;
               Hashtbl.remove mx.mx_pending rep_id;
-              mx.mx_inflight <- mx.mx_inflight - 1;
               Locked.broadcast mx.mx_lock;
-              Some mx.mx_inflight
+              Some (Hashtbl.length mx.mx_pending)
           | None -> None)
     in
     match delivered with
@@ -949,7 +951,7 @@ let get_connection t endpoint =
           mx_lock = Locked.create ~name:"mux" ~rank:Locked.Rank.mux;
           mx_pending = Hashtbl.create 16;
           mx_dead = None;
-          mx_inflight = 0;
+          mx_nego = (if t.codecs = [] then Nego_idle else Nego_fresh);
           mx_limit = max 1 t.mux_cfg.max_in_flight;
           mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
         }
@@ -959,8 +961,6 @@ let get_connection t endpoint =
           conn_lock =
             Locked.create ~name:"conn.send" ~rank:Locked.Rank.communicator;
           mux;
-          nego_lock = Locked.create ~name:"conn.nego" ~rank:Locked.Rank.nego;
-          nego = (if t.codecs = [] then Nego_idle else Nego_fresh);
           c_codec }
       in
       let outcome =
@@ -1012,11 +1012,7 @@ let drop_this_connection t endpoint c =
       | _ -> ());
   close_connection c (Transport.Transport_error "connection closed locally")
 
-let next_req_id t =
-  with_lock t (fun () ->
-      let id = t.next_req_id in
-      t.next_req_id <- t.next_req_id + 1;
-      id)
+let next_req_id t = Atomic.fetch_and_add t.next_req_id 1
 
 (* Tags a transport failure with the exchange phase it struck in.
    [`Send] means no reply bytes were read — retry-safe territory;
@@ -1027,11 +1023,20 @@ let next_req_id t =
 exception
   Exchange_failed of { phase : [ `Send | `Recv ]; fatal : bool; err : exn }
 
-(* One exchange: register a waiter cell under the demux lock, send
-   under the (short) connection write lock, then wait on the demux
+(* Substring search, for classifying a peer's error reply. Error path
+   only — allocation is fine. *)
+let contains_sub ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+(* One exchange: admit and register a waiter cell under the demux lock,
+   send under the (short) connection write lock, then wait on the demux
    condition until the reader delivers the reply, the connection dies,
-   or the per-call deadline passes ([Locked.wait_until]). *)
-let exchange_core t conn msg ~oneway ~deadline
+   or the per-call deadline passes ([Locked.wait_until]). The first
+   two-way request on a fresh connection carries its one codec offer,
+   settled by [settle_offer] from the reply. *)
+let rec exchange t conn msg ~oneway ~deadline
     ~(span : Obs.Trace.span option) =
   let mx = conn.mux in
   let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
@@ -1042,46 +1047,66 @@ let exchange_core t conn msg ~oneway ~deadline
     | Protocol.Reply _ | Protocol.Locate_reply _ | Protocol.Locate_forward _ ->
         0
   in
+  (* Only a two-way request can offer: the answer rides its reply. *)
+  let can_offer =
+    (not oneway) && match msg with Protocol.Request _ -> true | _ -> false
+  in
   let cell = ref None in
   (* Admission + registration, atomically with the death check:
      [close_connection] wakes exactly the waiters registered at that
      instant, so a waiter that got in under the same lock section can
      never be missed.
+     A send is held while an offer is in flight (hold-until-answer). A
+     request that could offer is also held while the connection is fresh
+     and still owes replies, so an earlier reply cannot arrive after the
+     switch in the wrong encoding; otherwise it takes the offer in this
+     same section. Every hold is bounded by the caller's deadline.
      Registration happens BEFORE the send — the reply can overtake the
      sender's return. A dead connection fails fast as a send-phase error:
      nothing was sent, the retry engine treats it exactly like the stale
      cached connection it is. *)
-  let registered, inflight_now =
+  let offered, inflight_now =
     Locked.with_lock mx.mx_lock (fun () ->
         let rec admit () =
           match mx.mx_dead with
           | Some err -> fail_ `Send ~fatal:true err
-          | None ->
-              if oneway || mx.mx_inflight < mx.mx_limit then begin
-                let registered = not oneway in
-                if registered then begin
-                  Hashtbl.replace mx.mx_pending msg_id cell;
-                  mx.mx_inflight <- mx.mx_inflight + 1;
-                  (* Wake the reader: it parks on this condvar while
-                     nothing is in flight and only enters the transport
-                     read once it owes a reply. *)
-                  Locked.broadcast mx.mx_lock
-                end;
-                (registered, mx.mx_inflight)
-              end
-              else if Locked.wait_until mx.mx_lock deadline then admit ()
-              else
-                (* Never sent: the connection is healthy, just saturated.
-                   Not fatal — the cache entry stays. *)
-                fail_ `Send ~fatal:false
-                  (Transport.Timeout
-                     (Printf.sprintf
-                        "timed out waiting for an in-flight slot to %s"
-                        (Communicator.peer conn.comm)))
+          | None -> (
+              let owed = Hashtbl.length mx.mx_pending in
+              let held =
+                match mx.mx_nego with
+                | Nego_offering -> Some "behind a codec negotiation"
+                | Nego_fresh when can_offer && owed > 0 ->
+                    Some "behind a codec negotiation"
+                | Nego_idle | Nego_fresh ->
+                    if oneway || owed < mx.mx_limit then None
+                    else Some "waiting for an in-flight slot"
+              in
+              match held with
+              | None ->
+                  let offered = can_offer && mx.mx_nego = Nego_fresh in
+                  if offered then mx.mx_nego <- Nego_offering;
+                  if not oneway then begin
+                    Hashtbl.replace mx.mx_pending msg_id cell;
+                    (* Wake the reader: it parks on this condvar while
+                       nothing is in flight and only enters the transport
+                       read once it owes a reply. *)
+                    Locked.broadcast mx.mx_lock
+                  end;
+                  (offered, Hashtbl.length mx.mx_pending)
+              | Some why ->
+                  if Locked.wait_until mx.mx_lock deadline then admit ()
+                  else
+                    (* Never sent: the connection is healthy, just
+                       saturated or mid-offer. Not fatal — the cache
+                       entry stays. *)
+                    fail_ `Send ~fatal:false
+                      (Transport.Timeout
+                         (Printf.sprintf "timed out %s to %s" why
+                            (Communicator.peer conn.comm))))
         in
         admit ())
   in
-  if registered then begin
+  if not oneway then begin
     mux_gauge t mx inflight_now;
     (* Monotone max via CAS: losing a race means someone recorded an
        even higher peak, so losing is winning. *)
@@ -1099,15 +1124,21 @@ let exchange_core t conn msg ~oneway ~deadline
       Locked.with_lock mx.mx_lock (fun () ->
           if Hashtbl.mem mx.mx_pending msg_id then begin
             Hashtbl.remove mx.mx_pending msg_id;
-            mx.mx_inflight <- mx.mx_inflight - 1;
             Locked.broadcast mx.mx_lock
           end;
-          mx.mx_inflight)
+          Hashtbl.length mx.mx_pending)
     in
     mux_gauge t mx n
   in
+  let wire =
+    match msg with
+    | Protocol.Request r when offered ->
+        Protocol.Request
+          { r with Protocol.nego_offer = Protocol.Nego.offer_of t.codecs }
+    | _ -> msg
+  in
   let t0 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
-  (try Locked.with_lock conn.conn_lock (fun () -> Communicator.send conn.comm msg)
+  (try Locked.with_lock conn.conn_lock (fun () -> Communicator.send conn.comm wire)
    with e ->
      (* A failed send may have left a partial frame on the wire: the
         stream is desynchronized for every in-flight call. Kill. *)
@@ -1141,7 +1172,8 @@ let exchange_core t conn msg ~oneway ~deadline
         (match span with
         | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
         | None -> ());
-        Some reply
+        if offered then settle_offer t conn msg reply ~deadline ~span
+        else Some reply
     | `Dead err ->
         unregister ();
         fail_ `Recv ~fatal:true err
@@ -1165,104 +1197,28 @@ let exchange_core t conn msg ~oneway ~deadline
                 (Communicator.peer conn.comm)))
   end
 
-(* ---------------- client side: codec negotiation ---------------- *)
-
-let nego_resolve conn state =
-  Locked.with_lock conn.nego_lock (fun () ->
-      conn.nego <- state;
-      Locked.broadcast conn.nego_lock)
-
-(* Substring search, for classifying a peer's error reply. Error path
-   only — allocation is fine. *)
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-(* The negotiation gate every send passes through. [`Plain]: proceed in
-   the current encoding. [`Offer]: this call owns the connection's one
-   offer. While an offer is in flight all other calls hold here — the
-   hold-until-answer discipline both communicator re-pointings rely
-   on. An offering call additionally waits, with the gate released, for
-   in-flight replies to drain ([deliver] and [unregister] broadcast the
-   demux lock), so an out-of-order earlier reply cannot arrive after the
-   switch in the wrong encoding. Every wait here is bounded by the
-   caller's deadline. *)
-let nego_gate conn ~deadline ~can_offer =
+(* Act on the reply to the connection's one offer; until this returns,
+   the connection stays [Nego_offering] and every other send is held. A
+   failed offer exchange needs no settling: it left the connection dead.
+   An answer re-points both directions of the communicator; no answer
+   means the peer is older (or found nothing compatible) — stay on the
+   base protocol. A deadline-era peer that predates negotiation rejects
+   the offer's empty forced budget slot with a recoverable error reply
+   and never dispatches, so that one shape is detected and the request
+   re-sent once without the offer. *)
+and settle_offer t conn msg reply ~deadline ~span =
   let mx = conn.mux in
-  let expired () =
-    (* Never sent; the connection is healthy, just mid-offer. *)
-    raise
-      (Exchange_failed
-         {
-           phase = `Send;
-           fatal = false;
-           err =
-             Transport.Timeout
-               (Printf.sprintf "timed out behind a codec negotiation to %s"
-                  (Communicator.peer conn.comm));
-         })
-  in
-  let rec gate () =
-    let step =
-      Locked.with_lock conn.nego_lock (fun () ->
-          let rec wait () =
-            match conn.nego with
-            | Nego_idle -> `Plain
-            | Nego_fresh when not can_offer -> `Plain
-            | Nego_fresh ->
-                if Locked.with_lock mx.mx_lock (fun () -> mx.mx_inflight > 0)
-                then `Busy
-                else begin
-                  conn.nego <- Nego_offering;
-                  `Offer
-                end
-            | Nego_offering ->
-                if Locked.wait_until conn.nego_lock deadline then wait ()
-                else expired ()
-          in
-          wait ())
-    in
-    match step with
-    | `Busy ->
-        Locked.with_lock mx.mx_lock (fun () ->
-            let rec drain () =
-              mx.mx_inflight = 0
-              || (Locked.wait_until mx.mx_lock deadline && drain ())
-            in
-            if not (drain ()) then expired ());
-        gate ()
-    | (`Plain | `Offer) as decided -> decided
-  in
-  gate ()
-
-(* Run the connection's one offer: send [msg] with the offer slot
-   attached, then act on what comes back. An answer re-points both
-   directions of the communicator; no answer means the peer is older
-   (or found nothing compatible) — stay on the base protocol. A
-   deadline-era peer that predates negotiation rejects the offer's
-   empty forced budget slot with a recoverable error reply and never
-   dispatches, so that one shape is detected and the request re-sent
-   once without the offer. *)
-let exchange_offer t conn msg ~oneway ~deadline ~span =
-  let offered =
-    match msg with
-    | Protocol.Request r ->
-        Protocol.Request
-          { r with Protocol.nego_offer = Protocol.Nego.offer_of t.codecs }
-    | other -> other
+  let settle () =
+    Locked.with_lock mx.mx_lock (fun () ->
+        mx.mx_nego <- Nego_idle;
+        Locked.broadcast mx.mx_lock)
   in
   let fallback () =
     Obs.incr t.obs ~name:"client:codec_fallback";
-    nego_resolve conn Nego_idle
+    settle ()
   in
-  match exchange_core t conn offered ~oneway ~deadline ~span with
-  | exception e ->
-      (* Resolve without counting a fallback: the connection is failing,
-         not declining — unblock any held callers and re-raise. *)
-      nego_resolve conn Nego_idle;
-      raise e
-  | Some (Protocol.Reply r) when r.Protocol.nego_answer <> "" -> (
+  match reply with
+  | Protocol.Reply r when r.Protocol.nego_answer <> "" -> (
       let tok = r.Protocol.nego_answer in
       let chosen =
         (* Match the answer by name, then vet the version pair with the
@@ -1288,13 +1244,13 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
           Communicator.set_protocol conn.comm p;
           conn.c_codec := p.Protocol.name;
           Obs.incr t.obs ~name:"client:codec_negotiated";
-          nego_resolve conn Nego_idle;
-          Some (Protocol.Reply r)
+          settle ();
+          Some reply
       | None ->
           (* The peer answered a codec we never offered and has already
              switched its stream: we cannot follow. Poison the
              connection before anything is misread. *)
-          nego_resolve conn Nego_idle;
+          settle ();
           raise
             (Exchange_failed
                {
@@ -1305,8 +1261,7 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
                      (Printf.sprintf
                         "peer answered unknown codec %S in negotiation" tok);
                }))
-  | Some
-      (Protocol.Reply { Protocol.status = Protocol.Status_system_error m; _ })
+  | Protocol.Reply { Protocol.status = Protocol.Status_system_error m; _ }
     when (match msg with
          | Protocol.Request { Protocol.budget_us = None; _ } -> true
          | _ -> false)
@@ -1315,24 +1270,12 @@ let exchange_offer t conn msg ~oneway ~deadline ~span =
          forced budget slot recoverably, without dispatching anything —
          re-sending the plain request is duplicate-safe. *)
       fallback ();
-      exchange_core t conn msg ~oneway ~deadline ~span
-  | resp ->
+      exchange t conn msg ~oneway:false ~deadline ~span
+  | _ ->
       (* A reply with no answer slot, or a non-reply (e.g. a forward):
          the peer did not negotiate. *)
       fallback ();
-      resp
-
-let exchange t conn msg ~oneway ~deadline ~(span : Obs.Trace.span option) =
-  let can_offer =
-    t.codecs <> []
-    &&
-    match msg with
-    | Protocol.Request r -> not r.Protocol.oneway
-    | _ -> false
-  in
-  match nego_gate conn ~deadline ~can_offer with
-  | `Plain -> exchange_core t conn msg ~oneway ~deadline ~span
-  | `Offer -> exchange_offer t conn msg ~oneway ~deadline ~span
+      Some reply
 
 let count_failure t e =
   match e with
@@ -1356,14 +1299,14 @@ let call_deadline t timeout =
 
 (* ---------------- replica selection ---------------- *)
 
-(* In-flight hint for one endpoint: the cached connection's demux
-   counter. Caller holds the ORB mutex (for the connection table); the
-   counter itself is written under its demux lock, so this is a hint,
-   not an invariant — exactly what load balancing needs. No cached
-   connection counts as idle. *)
+(* In-flight hint for one endpoint: the cached connection's count of
+   replies owed. Caller holds the ORB mutex (for the connection table);
+   the pending table itself is written under its demux lock, so this is
+   a hint, not an invariant — exactly what load balancing needs. No
+   cached connection counts as idle. *)
 let inflight_hint t ep =
   match Hashtbl.find_opt t.conns ep with
-  | Some c -> c.mux.mx_inflight
+  | Some c -> Hashtbl.length c.mux.mx_pending
   | None -> 0
 
 (* Power-of-two-choices over per-endpoint in-flight counts: draw two
@@ -1726,22 +1669,12 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
         else raise e
     | None -> None
     | Some (Protocol.Reply reply) -> (
-        let { Protocol.rep_id; status; payload; _ } =
+        (* No id check here: the demux hands a reply only to the cell
+           registered under its own id, and kills the connection on a
+           reply that matches none. *)
+        let { Protocol.status; payload; _ } =
           Interceptor.apply_reply t.client_chain req reply
         in
-        if rep_id <> req_id then begin
-          (* The stream is desynchronized: whatever reply belongs to
-             this request is still in flight, and a later caller reusing
-             the cached connection would be handed it. Never reuse the
-             connection. *)
-          drop_target_connections t actual;
-          raise
-            (System_exception
-               (Printf.sprintf
-                  "reply id %d does not match request id %d (connection \
-                   dropped)"
-                  rep_id req_id))
-        end;
         match status with
         | Protocol.Status_ok -> Some payload
         | Protocol.Status_user_exception repo_id ->
@@ -1749,13 +1682,7 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
               (Remote_exception
                  { repo_id; payload; codec = t.proto.Protocol.codec })
         | Protocol.Status_system_error m -> raise (System_exception m))
-    | Some (Protocol.Locate_forward { rep_id; target = fwd }) ->
-        if rep_id <> req_id then begin
-          drop_target_connections t actual;
-          raise
-            (System_exception
-               "forward reply id mismatch (connection dropped)")
-        end;
+    | Some (Protocol.Locate_forward { target = fwd; _ }) ->
         if hops >= max_forward_hops then
           raise
             (System_exception
@@ -1808,18 +1735,8 @@ let locate t ?timeout target =
       ~notify:(fun _ -> ())
       ~span:None ()
   with
-  | Some (Protocol.Locate_reply { rep_id; found; forward = _ }) ->
-      if rep_id <> req_id then begin
-        drop_target_connections t target;
-        raise (System_exception "locate reply id mismatch (connection dropped)")
-      end
-      else found
-  | Some (Protocol.Locate_forward { rep_id; _ }) ->
-      if rep_id <> req_id then begin
-        drop_target_connections t target;
-        raise (System_exception "locate reply id mismatch (connection dropped)")
-      end
-      else true
+  | Some (Protocol.Locate_reply { found; _ }) -> found
+  | Some (Protocol.Locate_forward _) -> true
   | Some _ ->
       drop_target_connections t target;
       raise (System_exception "unexpected message in reply to locate")
@@ -1921,10 +1838,12 @@ let stats t =
             (List.filter
                (fun c -> not (Communicator.is_closed c.scomm))
                t.accepted),
-          (* Racy-by-design snapshot of the per-connection counters:
-             each is written under its own demux lock; the sum is a
-             point-in-time gauge, not an invariant. *)
-          Hashtbl.fold (fun _ c acc -> acc + c.mux.mx_inflight) t.conns 0,
+          (* Racy-by-design snapshot of the per-connection replies owed:
+             each pending table is written under its own demux lock; the
+             sum is a point-in-time gauge, not an invariant. *)
+          Hashtbl.fold
+            (fun _ c acc -> acc + Hashtbl.length c.mux.mx_pending)
+            t.conns 0,
           t.pool ))
   in
   let breaker_trips, breaker_fast_fails, breaker_states =

@@ -345,6 +345,52 @@ let test_busy_gate_honours_deadline () =
             (Orb.connections_opened client);
           check_stats "client" client ~nego:1 ~fallback:0))
 
+(* The hold-until-answer arm: while the offer is in flight every other
+   send is held, bounded by its own deadline. The fault plan delays the
+   server's first write — the offer's reply — by 0.4 s; a locate with a
+   0.1 s budget must time out behind the negotiation without sending,
+   and a plain locate issued next goes out after the switch. *)
+let test_offer_holds_other_sends () =
+  let module F = Orb.Transport.Fault in
+  with_pair ~transport:"faulty:mem" ~server_codecs:[ P.hcx ]
+    ~client_codecs:[ P.hcx ] (fun ~server ~client ->
+      let target = Orb.export server (echo_skeleton ()) in
+      Fun.protect ~finally:F.clear (fun () ->
+          F.set_plan (fun { F.op; nth; peer } ->
+              if op = `Write && nth = 0 && Tutil.contains peer "(server)" then
+                Some (F.Delay_write 0.4)
+              else None);
+          let echoed = ref "" in
+          let offerer =
+            Thread.create
+              (fun () -> echoed := invoke_string client target ~op:"echo" "x")
+              ()
+          in
+          let rec until_in_flight n =
+            if (Orb.stats client).Orb.mux_in_flight = 0 && n > 0 then begin
+              Thread.delay 0.005;
+              until_in_flight (n - 1)
+            end
+          in
+          until_in_flight 400;
+          Alcotest.(check int) "offer in flight" 1
+            (Orb.stats client).Orb.mux_in_flight;
+          (match Orb.locate client ~timeout:0.1 target with
+          | exception Orb.Transport.Timeout m ->
+              Tutil.check_contains ~what:"held behind the offer" m
+                "negotiation"
+          | exception e ->
+              Alcotest.failf "expected Timeout, got %s" (Printexc.to_string e)
+          | found -> Alcotest.failf "expected Timeout, got %b" found);
+          Alcotest.(check bool) "locate after the switch" true
+            (Orb.locate client target);
+          Thread.join offerer;
+          Alcotest.(check string) "offering call answered" "echo:x" !echoed;
+          Alcotest.(check int) "one connection" 1
+            (Orb.connections_opened client);
+          check_stats "client" client ~nego:1 ~fallback:0;
+          check_stats "server" server ~nego:1 ~fallback:0))
+
 let () =
   Alcotest.run "nego"
     [
@@ -357,6 +403,8 @@ let () =
             test_oneway_does_not_offer;
           Alcotest.test_case "busy gate honours the deadline" `Quick
             test_busy_gate_honours_deadline;
+          Alcotest.test_case "offer holds other sends" `Quick
+            test_offer_holds_other_sends;
         ] );
       ( "fallback",
         [
