@@ -1523,17 +1523,22 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
    GIOP and HCX envelopes, swept across payload sizes. Bytes are read
    from the Obs channel meter, so the figure is what actually crossed
    the transport, framing included. Calls/s is a monotonic-clock loop
-   (see E3b on OLS and thread wakeups). Writes BENCH_codec.json for the
-   schema-checked smoke test, which pins HCX's bytes/call strictly
-   below heidi-text's at every payload size. *)
+   (see E3b on OLS and thread wakeups). The [hcx-negotiated] row runs
+   the text base protocol with HCX negotiated on both ORBs: once the
+   connection has switched, its arguments and results travel in HCX
+   too, so its bytes/call must match the [hcx] row's. Writes
+   BENCH_codec.json for the schema-checked smoke test, which pins HCX's
+   bytes/call strictly below heidi-text's, and the negotiated row's
+   within 2% of HCX's, at every payload size. *)
 let e15 ?(out = "BENCH_codec.json") ?(measure_s = 0.4)
     ?(sizes = [ 16; 256; 4096; 65536 ]) () =
   section "E15" "codec sweep: bytes/call and calls/s (hcx vs text vs giop, mem)";
   let protos =
     [
-      ("heidi-text", Orb.Protocol.text);
-      ("giop-be", Giop.protocol ());
-      ("hcx", Orb.Protocol.hcx);
+      ("heidi-text", Orb.Protocol.text, []);
+      ("giop-be", Giop.protocol (), []);
+      ("hcx", Orb.Protocol.hcx, []);
+      ("hcx-negotiated", Orb.Protocol.text, [ Orb.Protocol.hcx ]);
     ]
   in
   let blob_skeleton () =
@@ -1544,19 +1549,30 @@ let e15 ?(out = "BENCH_codec.json") ?(measure_s = 0.4)
             results.Wire.Codec.put_long (String.length s));
       ]
   in
-  let run_row (pname, protocol) size =
+  let run_row (pname, protocol, codecs) size =
     Orb.Transport.mem_reset ();
-    let server = Orb.create ~protocol ~transport:"mem" ~host:"local" () in
+    let server =
+      Orb.create ~protocol ~codecs ~transport:"mem" ~host:"local" ()
+    in
     Orb.start server;
     let target = Orb.export server (blob_skeleton ()) in
     let obs = Obs.create () in
-    let client = Orb.create ~protocol ~transport:"mem" ~host:"local" ~obs () in
-    let blob = String.make size 'a' in
+    let client =
+      Orb.create ~protocol ~codecs ~transport:"mem" ~host:"local" ~obs ()
+    in
+    (* Newline-separated 16-byte lines: text data on which the codecs
+       differ (heidi-text escapes every newline, HCX sends it raw), so
+       a payload left in the wrong codec shows in bytes/call. *)
+    let blob =
+      String.init size (fun i -> if i mod 16 = 15 then '\n' else 'a')
+    in
     let call () =
       ignore
         (Orb.invoke client target ~op:"swallow" (fun e ->
              e.Wire.Codec.put_string blob))
     in
+    (* The warm-up also settles negotiation: the metered batch below is
+       all on the switched connection. *)
     for _ = 1 to 20 do call () done;
     (* bytes/call: meter delta over a fixed batch. Plain endpoint labels
        only — the per-codec twins double-account the same bytes. *)

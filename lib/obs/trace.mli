@@ -28,7 +28,10 @@ type span = {
   mutable finished_at : float;  (** NaN until {!finish}. *)
   mutable marshal_s : float;
       (** Client phase timings, seconds; NaN = this phase was not timed
-          (e.g. payload-level [invoke_raw], or server spans). *)
+          (e.g. the unmarshal of a smart proxy's call, whose reply the
+          proxy decodes itself, or server spans). [marshal_s] sums
+          every run of the marshal closure: one per codec the call was
+          sent in. *)
   mutable send_s : float;
   mutable wait_s : float;
   mutable unmarshal_s : float;

@@ -212,4 +212,5 @@ let close t =
 let is_closed t = t.closed
 let peer t = t.chan.Transport.peer
 let protocol t = t.sproto
+let recv_protocol t = t.rproto
 let set_deadline t d = t.chan.Transport.set_deadline d

@@ -53,6 +53,10 @@ val protocol : t -> Protocol.t
 (** The current {e send}-side protocol (send and receive agree except
     inside a negotiated codec switch). *)
 
+val recv_protocol : t -> Protocol.t
+(** The current {e receive}-side protocol: the one the next frame read
+    by {!recv}/{!recv_opt} is decoded with. *)
+
 val set_protocol : ?dir:[ `Both | `Send | `Recv ] -> t -> Protocol.t -> unit
 (** Re-point the communicator at another protocol — the mechanism of a
     negotiated codec switch. A switch takes effect at different frame

@@ -18,7 +18,11 @@ type t = {
   on_request : Protocol.request -> Protocol.request;
       (** May rewrite the request (e.g. stamp a context token into the
           payload is not possible — payloads are opaque — but operation,
-          target and oneway flag are fair game) or raise {!Reject}. *)
+          target and oneway flag are fair game) or raise {!Reject}. On
+          the client the arguments are not marshalled yet — they are
+          encoded later, in the codec of the connection that carries
+          the call — so [payload] is empty there; on the server it
+          holds the received bytes. *)
   on_reply : Protocol.request -> Protocol.reply -> Protocol.reply;
       (** Observes/rewrites the reply paired with its request. *)
   on_error : Protocol.request -> exn -> unit;

@@ -152,6 +152,10 @@ and mux_state = {
   mx_pending : (int, Protocol.message option ref) Hashtbl.t;
   mutable mx_dead : exn option;
   mutable mx_nego : nego_state;
+  mutable mx_fresh_unsent : int;
+      (* sends admitted while [Nego_fresh] and not yet written: the
+         offer is held until they are out, or the peer would read them
+         in the encoding the offer switches it to *)
   mx_limit : int;  (* admission bound: mux.max_in_flight *)
   mx_gauge : string;  (* obs gauge name, precomputed off the hot path *)
 }
@@ -249,8 +253,12 @@ let port t = with_lock t (fun () -> t.bound_port)
 
 (* ---------------- server side ---------------- *)
 
-let handle_request_inner t (req : Protocol.request) : Protocol.reply option =
-  let codec = t.proto.Protocol.codec in
+(* [codec] is the one the request's frame was decoded with: the
+   arguments are in it, and the result or user exception goes back in
+   it — on a negotiated connection that is the negotiated codec, on the
+   offering request itself still the base one. *)
+let handle_request_inner t ~codec (req : Protocol.request) :
+    Protocol.reply option =
   let reply status payload =
     if req.Protocol.oneway then None
     else
@@ -276,13 +284,18 @@ let handle_request_inner t (req : Protocol.request) : Protocol.reply option =
             ""
       | Some handler -> (
           (* The argument payload is untrusted wire data: decode it
-             under the server policy's limits, like the envelope. *)
-          let args =
-            codec.Wire.Codec.decoder_limited t.policy.limits
-              req.Protocol.payload
-          in
+             under the server policy's limits, like the envelope. The
+             decoder is built inside the handler's match because some
+             codecs (HCX's version byte) reject a payload as soon as a
+             decoder is made: that is this request's marshal error,
+             not the connection's. *)
           let results = codec.Wire.Codec.encoder () in
-          match handler args results with
+          match
+            handler
+              (codec.Wire.Codec.decoder_limited t.policy.limits
+                 req.Protocol.payload)
+              results
+          with
           | () -> reply Protocol.Status_ok (results.Wire.Codec.finish ())
           | exception Skeleton.User_exception { repo_id; encode } ->
               let e = codec.Wire.Codec.encoder () in
@@ -306,7 +319,7 @@ let handle_request_inner t (req : Protocol.request) : Protocol.reply option =
    span around the whole thing. The span joins the caller's trace via
    the request's service-context slot; requests from peers that predate
    the slot (or carry a malformed context) start a fresh root trace. *)
-let handle_request t (req : Protocol.request) : Protocol.reply option =
+let handle_request t ~codec (req : Protocol.request) : Protocol.reply option =
   let span =
     if Obs.enabled t.obs then begin
       let context = Obs.Trace.decode_context req.Protocol.trace_ctx in
@@ -323,7 +336,7 @@ let handle_request t (req : Protocol.request) : Protocol.reply option =
   let result =
     match Interceptor.apply_request t.server_chain req with
     | req -> (
-        match handle_request_inner t req with
+        match handle_request_inner t ~codec req with
         | None -> None
         | Some rep -> Some (Interceptor.apply_reply t.server_chain req rep))
     | exception Interceptor.Reject reason ->
@@ -426,13 +439,15 @@ let serve_connection t sc =
     Obs.incr t.obs ~name:counter;
     if not req.Protocol.oneway then error_reply req.Protocol.req_id reason
   in
-  let finish_dispatch req =
-    match handle_request t req with
+  let finish_dispatch ~codec req =
+    match handle_request t ~codec req with
     | Some rep -> send_msg (Protocol.Reply rep)
     | None -> ()
   in
   let dec_inflight () = Atomic.decr sc.s_inflight in
-  let dispatch (req : Protocol.request) =
+  (* [codec] decodes the request's arguments and encodes its answer: the
+     receive codec its frame arrived in (see [loop]). *)
+  let dispatch ~codec (req : Protocol.request) =
     let received_at = Unix.gettimeofday () in
     sc.s_last_active <- received_at;
     (* The wire budget is relative (no clock sync with the peer): anchor
@@ -504,7 +519,7 @@ let serve_connection t sc =
                 with _ -> (try Communicator.close comm with _ -> ())
               else begin
                 let run_started = Unix.gettimeofday () in
-                (try finish_dispatch req
+                (try finish_dispatch ~codec req
                  with _ ->
                    (* The connection died under the reply: close it so
                       the reader thread unwinds and reaps it. *)
@@ -565,8 +580,12 @@ let serve_connection t sc =
                 (Protocol.Locate_forward
                    { rep_id = req.Protocol.req_id; target })
         | None ->
+            (* The payload is in the codec this frame was read with:
+               capture it before an offer re-points the receive side
+               for the frames after this one. *)
+            let codec = (Communicator.recv_protocol comm).Protocol.codec in
             if req.Protocol.nego_offer <> "" then process_offer req;
-            dispatch req);
+            dispatch ~codec req);
         loop ()
     | Ok (Protocol.Locate_request { req_id; target }) ->
         (* GIOP-style locate: answered by the adapter, never dispatched
@@ -952,6 +971,7 @@ let get_connection t endpoint =
           mx_pending = Hashtbl.create 16;
           mx_dead = None;
           mx_nego = (if t.codecs = [] then Nego_idle else Nego_fresh);
+          mx_fresh_unsent = 0;
           mx_limit = max 1 t.mux_cfg.max_in_flight;
           mx_gauge = "client:in_flight:" ^ endpoint_key endpoint;
         }
@@ -1035,8 +1055,14 @@ let contains_sub ~sub s =
    condition until the reader delivers the reply, the connection dies,
    or the per-call deadline passes ([Locked.wait_until]). The first
    two-way request on a fresh connection carries its one codec offer,
-   settled by [settle_offer] from the reply. *)
-let rec exchange t conn msg ~oneway ~deadline
+   settled by [settle_offer] from the reply.
+   Admission also fixes the codec the message goes out in: the
+   connection's send codec, which cannot move between admission and
+   the write (an offer waits for every earlier admitted send, and every
+   send waits out an offer). A request's arguments are marshalled only
+   then, by [payload], in that codec. The result pairs the reply with
+   that codec: the peer answers a request in the codec it came in. *)
+let rec exchange t conn ?payload msg ~oneway ~deadline
     ~(span : Obs.Trace.span option) =
   let mx = conn.mux in
   let fail_ phase ~fatal err = raise (Exchange_failed { phase; fatal; err }) in
@@ -1065,7 +1091,7 @@ let rec exchange t conn msg ~oneway ~deadline
      sender's return. A dead connection fails fast as a send-phase error:
      nothing was sent, the retry engine treats it exactly like the stale
      cached connection it is. *)
-  let offered, inflight_now =
+  let offered, fresh, inflight_now, codec =
     Locked.with_lock mx.mx_lock (fun () ->
         let rec admit () =
           match mx.mx_dead with
@@ -1075,7 +1101,8 @@ let rec exchange t conn msg ~oneway ~deadline
               let held =
                 match mx.mx_nego with
                 | Nego_offering -> Some "behind a codec negotiation"
-                | Nego_fresh when can_offer && owed > 0 ->
+                | Nego_fresh
+                  when can_offer && (owed > 0 || mx.mx_fresh_unsent > 0) ->
                     Some "behind a codec negotiation"
                 | Nego_idle | Nego_fresh ->
                     if oneway || owed < mx.mx_limit then None
@@ -1084,7 +1111,9 @@ let rec exchange t conn msg ~oneway ~deadline
               match held with
               | None ->
                   let offered = can_offer && mx.mx_nego = Nego_fresh in
+                  let fresh = (not offered) && mx.mx_nego = Nego_fresh in
                   if offered then mx.mx_nego <- Nego_offering;
+                  if fresh then mx.mx_fresh_unsent <- mx.mx_fresh_unsent + 1;
                   if not oneway then begin
                     Hashtbl.replace mx.mx_pending msg_id cell;
                     (* Wake the reader: it parks on this condvar while
@@ -1092,7 +1121,10 @@ let rec exchange t conn msg ~oneway ~deadline
                        read once it owes a reply. *)
                     Locked.broadcast mx.mx_lock
                   end;
-                  (offered, Hashtbl.length mx.mx_pending)
+                  ( offered,
+                    fresh,
+                    Hashtbl.length mx.mx_pending,
+                    (Communicator.protocol conn.comm).Protocol.codec )
               | Some why ->
                   if Locked.wait_until mx.mx_lock deadline then admit ()
                   else
@@ -1130,11 +1162,37 @@ let rec exchange t conn msg ~oneway ~deadline
     in
     mux_gauge t mx n
   in
+  (* A fresh-connection send is out (or failed): a held offer may go. *)
+  let written () =
+    if fresh then
+      Locked.with_lock mx.mx_lock (fun () ->
+          mx.mx_fresh_unsent <- mx.mx_fresh_unsent - 1;
+          Locked.broadcast mx.mx_lock)
+  in
   let wire =
-    match msg with
-    | Protocol.Request r when offered ->
-        Protocol.Request
-          { r with Protocol.nego_offer = Protocol.Nego.offer_of t.codecs }
+    match (msg, payload) with
+    | Protocol.Request r, Some payload -> (
+        match payload codec with
+        | bytes ->
+            Protocol.Request
+              {
+                r with
+                Protocol.payload = bytes;
+                nego_offer =
+                  (if offered then Protocol.Nego.offer_of t.codecs
+                   else r.Protocol.nego_offer);
+              }
+        | exception e ->
+            (* The caller's marshal closure failed and nothing was sent:
+               undo the admission, handing back the offer if this
+               request took it, and let the caller see its own error. *)
+            written ();
+            unregister ();
+            if offered then
+              Locked.with_lock mx.mx_lock (fun () ->
+                  mx.mx_nego <- Nego_fresh;
+                  Locked.broadcast mx.mx_lock);
+            raise e)
     | _ -> msg
   in
   let t0 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
@@ -1142,9 +1200,11 @@ let rec exchange t conn msg ~oneway ~deadline
    with e ->
      (* A failed send may have left a partial frame on the wire: the
         stream is desynchronized for every in-flight call. Kill. *)
+     written ();
      unregister ();
      close_connection conn e;
      fail_ `Send ~fatal:true e);
+  written ();
   let t1 =
     match span with
     | Some s ->
@@ -1172,8 +1232,9 @@ let rec exchange t conn msg ~oneway ~deadline
         (match span with
         | Some s -> s.Obs.Trace.wait_s <- Obs.Trace.now () -. t1
         | None -> ());
-        if offered then settle_offer t conn msg reply ~deadline ~span
-        else Some reply
+        if offered then
+          settle_offer t conn ?payload msg ~codec reply ~deadline ~span
+        else Some (codec, reply)
     | `Dead err ->
         unregister ();
         fail_ `Recv ~fatal:true err
@@ -1205,8 +1266,9 @@ let rec exchange t conn msg ~oneway ~deadline
    base protocol. A deadline-era peer that predates negotiation rejects
    the offer's empty forced budget slot with a recoverable error reply
    and never dispatches, so that one shape is detected and the request
-   re-sent once without the offer. *)
-and settle_offer t conn msg reply ~deadline ~span =
+   re-sent once without the offer. The offering request went out in the
+   base codec, and so does its reply, answer slot and all. *)
+and settle_offer t conn ?payload msg ~codec reply ~deadline ~span =
   let mx = conn.mux in
   let settle () =
     Locked.with_lock mx.mx_lock (fun () ->
@@ -1245,7 +1307,7 @@ and settle_offer t conn msg reply ~deadline ~span =
           conn.c_codec := p.Protocol.name;
           Obs.incr t.obs ~name:"client:codec_negotiated";
           settle ();
-          Some reply
+          Some (codec, reply)
       | None ->
           (* The peer answered a codec we never offered and has already
              switched its stream: we cannot follow. Poison the
@@ -1270,12 +1332,12 @@ and settle_offer t conn msg reply ~deadline ~span =
          forced budget slot recoverably, without dispatching anything —
          re-sending the plain request is duplicate-safe. *)
       fallback ();
-      exchange t conn msg ~oneway:false ~deadline ~span
+      exchange t conn ?payload msg ~oneway:false ~deadline ~span
   | _ ->
       (* A reply with no answer slot, or a non-reply (e.g. a forward):
          the peer did not negotiate. *)
       fallback ();
-      Some reply
+      Some (codec, reply)
 
 let count_failure t e =
   match e with
@@ -1326,21 +1388,23 @@ let pick_endpoint t = function
              let b = arr.(Random.State.int t.rng n) in
              if inflight_hint t b < inflight_hint t a then b else a))
 
-(* The fault-tolerant request/reply engine shared by [invoke_raw] and
+(* The fault-tolerant request/reply engine shared by [invoke] and
    [locate]: replica selection (power-of-two-choices, breaker-open
    endpoints skipped), per-endpoint circuit-breaker gate, then attempts
    under the retry policy — a failure on one replica fails over to the
    next under the SAME retry budget, and the duplicate-safety taxonomy
    still decides what may be re-sent at all. [make_msg] builds the wire
    message for the chosen endpoint's single-endpoint view, so every
-   envelope target stays parseable by pre-replication peers. [notify]
-   feeds each failure to the client interceptor chain.
+   envelope target stays parseable by pre-replication peers; a request's
+   arguments come from [payload], asked for in the codec of whichever
+   connection admits the attempt (see [exchange]). [notify] feeds each
+   failure to the client interceptor chain.
    [maybe_dispatched] is called on any failure after which the request
    may be executing on a server (fresh-connection receive failures) —
    callers with a duplicate-safe fallback of their own (forward-cache
    invalidation, naming re-resolve) must not re-send after it fires. *)
-let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
-    ?(maybe_dispatched = fun () -> ()) () =
+let rec request_reply t target ?payload ~make_msg ~oneway ~timeout ~notify
+    ~span ?(maybe_dispatched = fun () -> ()) () =
   let eps = Objref.endpoints target in
   let multi = match eps with _ :: _ :: _ -> true | _ -> false in
   let deadline = call_deadline t timeout in
@@ -1446,7 +1510,7 @@ let rec request_reply t target ~make_msg ~oneway ~timeout ~notify ~span
           else fail e
       | conn, fresh -> (
           match
-            exchange t conn
+            exchange t conn ?payload
               (make_msg (Objref.at_endpoint target ep) (budget_now ()))
               ~oneway ~deadline ~span
           with
@@ -1531,7 +1595,7 @@ and probe t target ~endpoint ~timeout =
   let deadline = call_deadline t timeout in
   let conn, _ = get_connection t endpoint in
   match exchange t conn msg ~oneway:false ~deadline ~span:None with
-  | Some (Protocol.Locate_reply _ | Protocol.Locate_forward _) -> ()
+  | Some (_, (Protocol.Locate_reply _ | Protocol.Locate_forward _)) -> ()
   | Some _ | None ->
       drop_this_connection t endpoint conn;
       raise (System_exception "unexpected message in reply to breaker probe")
@@ -1599,21 +1663,49 @@ let invalidate_forward t target =
    servers are pointing at each other and the call fails loudly. *)
 let max_forward_hops = 4
 
-(* The invocation core, shared by [invoke_raw] (which owns a bare span)
-   and [invoke] (which also times the marshal/unmarshal phases around
-   it). The caller's trace context rides in the request's
-   service-context slot; disabled tracing sends the empty context,
-   which encodes to bytes identical to the pre-slot protocol.
+(* The invocation core, shared by [invoke] and the smart proxy's invoker
+   (both own the client span). The caller's trace context rides in the
+   request's service-context slot; disabled tracing sends the empty
+   context, which encodes to bytes identical to the pre-slot protocol.
+
+   [marshal] writes the arguments once a connection has admitted the
+   request, in the codec that connection sends with: the negotiated
+   one, or the base codec on an offering request, a fallback connection
+   or a peer that does not negotiate. The bytes are kept per codec, so
+   a retry, failover or forward re-sends the bytes it has and runs
+   [marshal] again only on a connection with another codec; whether an
+   attempt may be re-sent at all is still the retry engine's call.
+   Client interceptors thus see the request before its arguments exist
+   (an empty payload). The result is the reply payload paired with the
+   codec it is encoded in — the codec its request went out in.
 
    [dispatched] is set as soon as any attempt may have reached a
    servant; callers that re-resolve and re-send on failure (the naming
    client) must check it to stay duplicate-safe. *)
-let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
-    =
+let invoke_payload t target ~op ~oneway ~timeout ~span ~dispatched marshal =
   let req_id = next_req_id t in
   (match span with Some s -> s.Obs.Trace.req_id <- req_id | None -> ());
   let trace_ctx =
     match span with Some s -> Obs.Trace.encode_context s | None -> ""
+  in
+  let encoded = ref [] in
+  let payload codec =
+    match List.assq_opt codec !encoded with
+    | Some bytes -> bytes
+    | None ->
+        let t0 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
+        let e = codec.Wire.Codec.encoder () in
+        marshal e;
+        let bytes = e.Wire.Codec.finish () in
+        (match span with
+        | Some s ->
+            let dt = Obs.Trace.now () -. t0 in
+            s.Obs.Trace.marshal_s <-
+              (if Float.is_nan s.Obs.Trace.marshal_s then dt
+               else s.Obs.Trace.marshal_s +. dt)
+        | None -> ());
+        encoded := (codec, bytes) :: !encoded;
+        bytes
   in
   let req =
     Interceptor.apply_request t.client_chain
@@ -1622,7 +1714,7 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
         target;
         operation = op;
         oneway;
-        payload;
+        payload = "";
         trace_ctx;
         budget_us = None;
         nego_offer = "";
@@ -1648,8 +1740,8 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
       Protocol.Request { req with Protocol.target = tgt; budget_us = budget }
     in
     match
-      request_reply t actual ~make_msg ~oneway ~timeout ~notify ~span
-        ~maybe_dispatched ()
+      request_reply t actual ~payload ~make_msg ~oneway ~timeout ~notify
+        ~span ~maybe_dispatched ()
     with
     | exception e when via_forward ->
         (* The forwarded placement failed. Whatever the failure, stop
@@ -1668,7 +1760,7 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
         if duplicate_safe then call ~hops ~via_forward:false logical
         else raise e
     | None -> None
-    | Some (Protocol.Reply reply) -> (
+    | Some (codec, Protocol.Reply reply) -> (
         (* No id check here: the demux hands a reply only to the cell
            registered under its own id, and kills the connection on a
            reply that matches none. *)
@@ -1676,13 +1768,11 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
           Interceptor.apply_reply t.client_chain req reply
         in
         match status with
-        | Protocol.Status_ok -> Some payload
+        | Protocol.Status_ok -> Some (codec, payload)
         | Protocol.Status_user_exception repo_id ->
-            raise
-              (Remote_exception
-                 { repo_id; payload; codec = t.proto.Protocol.codec })
+            raise (Remote_exception { repo_id; payload; codec })
         | Protocol.Status_system_error m -> raise (System_exception m))
-    | Some (Protocol.Locate_forward { target = fwd; _ }) ->
+    | Some (_, Protocol.Locate_forward { target = fwd; _ }) ->
         if hops >= max_forward_hops then
           raise
             (System_exception
@@ -1695,8 +1785,9 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
         note_forward t logical fwd;
         call ~hops:(hops + 1) ~via_forward:true fwd
     | Some
-        (Protocol.Request _ | Protocol.Locate_request _
-        | Protocol.Locate_reply _) ->
+        ( _,
+          ( Protocol.Request _ | Protocol.Locate_request _
+          | Protocol.Locate_reply _ ) ) ->
         (* Equally desynchronized: a non-reply where a reply belongs. *)
         drop_target_connections t actual;
         raise
@@ -1705,19 +1796,6 @@ let invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched payload
   match cached_forward t logical with
   | Some fwd -> call ~hops:1 ~via_forward:true fwd
   | None -> call ~hops:0 ~via_forward:false logical
-
-let invoke_raw t target ~op ?(oneway = false) ?timeout payload =
-  let span = start_client_span t target ~op in
-  match
-    invoke_raw_spanned t target ~op ~oneway ~timeout ~span
-      ~dispatched:(ref false) payload
-  with
-  | result ->
-      finish_client_span t span Obs.Trace.Ok;
-      result
-  | exception e ->
-      finish_client_span t span (outcome_of_exn e);
-      raise e
 
 (* GIOP-style LocateRequest: does the peer's adapter know this oid?
    Locate (like the breaker's half-open probe) is control-plane traffic:
@@ -1735,45 +1813,37 @@ let locate t ?timeout target =
       ~notify:(fun _ -> ())
       ~span:None ()
   with
-  | Some (Protocol.Locate_reply { found; _ }) -> found
-  | Some (Protocol.Locate_forward _) -> true
+  | Some (_, Protocol.Locate_reply { found; _ }) -> found
+  | Some (_, Protocol.Locate_forward _) -> true
   | Some _ ->
       drop_target_connections t target;
       raise (System_exception "unexpected message in reply to locate")
   | None -> raise (System_exception "no reply to locate")
 
-let invoke_with t target ~op ~oneway ~timeout ~dispatched marshal =
-  let codec = t.proto.Protocol.codec in
+(* One client span around [f], finished with the call's outcome. *)
+let with_client_span t target ~op f =
   let span = start_client_span t target ~op in
-  match
-    let e = codec.Wire.Codec.encoder () in
-    marshal e;
-    let payload = e.Wire.Codec.finish () in
-    (* Marshalling starts right at span creation, so the span's own
-       start timestamp doubles as the phase origin — one clock read
-       saved per traced call. *)
-    (match span with
-    | Some s -> s.Obs.Trace.marshal_s <- Obs.Trace.now () -. s.Obs.Trace.started_at
-    | None -> ());
-    match
-      invoke_raw_spanned t target ~op ~oneway ~timeout ~span ~dispatched
-        payload
-    with
-    | Some payload ->
-        let t1 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
-        let d = codec.Wire.Codec.decoder payload in
-        (match span with
-        | Some s -> s.Obs.Trace.unmarshal_s <- Obs.Trace.now () -. t1
-        | None -> ());
-        Some d
-    | None -> None
-  with
+  match f span with
   | result ->
       finish_client_span t span Obs.Trace.Ok;
       result
   | exception e ->
       finish_client_span t span (outcome_of_exn e);
       raise e
+
+let invoke_with t target ~op ~oneway ~timeout ~dispatched marshal =
+  with_client_span t target ~op (fun span ->
+      match
+        invoke_payload t target ~op ~oneway ~timeout ~span ~dispatched marshal
+      with
+      | Some (codec, payload) ->
+          let t1 = match span with Some _ -> Obs.Trace.now () | None -> 0. in
+          let d = codec.Wire.Codec.decoder payload in
+          (match span with
+          | Some s -> s.Obs.Trace.unmarshal_s <- Obs.Trace.now () -. t1
+          | None -> ());
+          Some d
+      | None -> None)
 
 let invoke t target ~op ?(oneway = false) ?timeout marshal =
   invoke_with t target ~op ~oneway ~timeout ~dispatched:(ref false) marshal
@@ -1786,14 +1856,22 @@ let completed_oneway ~who op =
     (Printf.sprintf "%s: operation %S completed as oneway, no reply" who op)
 
 (* A smart proxy (Section 5: Orbix smart proxies / Visibroker smart
-   stubs) bound to this ORB's protocol codec. *)
+   stubs). Its memo is keyed by the arguments in this ORB's base codec;
+   the call itself goes through [invoke_payload] like any other, so the
+   wire carries the connection's codec and each reply comes back with
+   the codec to decode it with. *)
 let smart_proxy t ?capacity ?invalidate_on target =
-  let raw target ~op payload =
-    match invoke_raw t target ~op payload with
-    | Some reply -> reply
-    | None -> raise (completed_oneway ~who:"smart proxy" op)
+  let invoker target ~op marshal =
+    with_client_span t target ~op (fun span ->
+        match
+          invoke_payload t target ~op ~oneway:false ~timeout:None ~span
+            ~dispatched:(ref false) marshal
+        with
+        | Some reply -> reply
+        | None -> raise (completed_oneway ~who:"smart proxy" op))
   in
-  Smart.create ?capacity ?invalidate_on ~codec:t.proto.Protocol.codec raw target
+  Smart.create ?capacity ?invalidate_on ~codec:t.proto.Protocol.codec invoker
+    target
 
 (* The ORB's event counters live in its Obs registry, one named cell
    per counted event; [stats] and these accessors are views of it. *)

@@ -8,9 +8,10 @@
     Server side: {!start} binds the bootstrap port and spawns one reader
     thread per accepted connection, which hands each decoded request to
     the bounded worker pool for Fig. 5's dispatch. Client side:
-    {!invoke} implements Fig. 4 — it builds a [Call], marshals via the
-    caller's closure, sends the request on a cached connection, and
-    returns a decoder positioned at the reply payload. *)
+    {!invoke} implements Fig. 4 — it builds a [Call], admits it onto a
+    cached connection, marshals via the caller's closure in that
+    connection's codec, sends the request, and returns a decoder
+    positioned at the reply payload. *)
 
 (** {1 Submodules} *)
 
@@ -50,7 +51,10 @@ type t
 exception Remote_exception of {
   repo_id : string;  (** Repository ID of the raised IDL exception. *)
   payload : string;  (** Encoded exception members. *)
-  codec : Wire.Codec.t;  (** Codec to decode [payload] with. *)
+  codec : Wire.Codec.t;
+      (** Codec to decode [payload] with: the one the failed request
+          went out in, which on a negotiated connection is the
+          negotiated codec, not the ORB's base one. *)
 }
 (** A declared (IDL) exception raised by the remote implementation. *)
 
@@ -257,6 +261,17 @@ val invoke :
     calls. [timeout] (seconds) overrides the ORB's [call_timeout] for
     this call.
 
+    [marshal] runs once a connection has admitted the call, in the codec
+    that connection sends with: the negotiated codec (see [codecs] in
+    {!create}), or the base protocol's codec on the request that carries
+    a connection's offer, on a connection that fell back, and towards
+    peers that do not negotiate. It may run more than once — at most
+    once per codec — when a retry, failover or location forward lands on
+    a connection with another codec; bytes already encoded in a codec
+    are re-sent as they are. The reply is decoded in its request's
+    codec. Client interceptors see the request before [marshal] runs,
+    with an empty payload.
+
     A multi-endpoint [target] (see {!Objref.make_multi}) is one logical
     object behind several replicas: each call picks a replica by
     power-of-two-choices over the per-endpoint in-flight counts,
@@ -279,21 +294,12 @@ val locate : t -> ?timeout:float -> Objref.t -> bool
     oid is currently exported, without invoking anything.
     @raise Transport.Transport_error when the peer is unreachable. *)
 
-val invoke_raw :
-  t ->
-  Objref.t ->
-  op:string ->
-  ?oneway:bool ->
-  ?timeout:float ->
-  string ->
-  string option
-(** Payload-level {!invoke}: already-encoded request payload in, reply
-    payload out ([None] for oneway). Same exceptions as {!invoke}. *)
-
 val smart_proxy :
   t -> ?capacity:int -> ?invalidate_on:string list -> Objref.t -> Smart.t
-(** A client-side caching proxy for [target], bound to this ORB's
-    protocol codec (see {!Smart}). *)
+(** A client-side caching proxy for [target] (see {!Smart}). Its memo is
+    keyed by the arguments in this ORB's base codec; the calls it makes
+    go out like {!invoke}'s, in the connection's codec, and each cached
+    reply is kept and decoded with the codec it arrived in. *)
 
 val connections_opened : t -> int
 (** Total outbound connections ever opened — with the connection cache

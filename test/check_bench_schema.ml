@@ -633,6 +633,27 @@ let check_e15 path root =
           raise
             (Bad (Printf.sprintf "missing hcx or heidi-text row at %g B" size)))
     sizes;
+  (* The negotiated codec carries the payload: a text-base pair that
+     negotiated HCX moves what an HCX-base pair moves, arguments and
+     results included, at every payload size. A payload left in the
+     base codec shows here as the text-sized gap. *)
+  List.iter
+    (fun size ->
+      match (row "hcx-negotiated" size, row "hcx" size) with
+      | Some n, Some h ->
+          let nb = want_num n "bytes_per_call"
+          and hb = want_num h "bytes_per_call" in
+          check
+            (Float.abs (nb -. hb) <= 0.02 *. hb)
+            (Printf.sprintf
+               "hcx-negotiated bytes/call %g must be within 2%% of hcx's %g \
+                at %g B"
+               nb hb size)
+      | _ ->
+          raise
+            (Bad
+               (Printf.sprintf "missing hcx-negotiated or hcx row at %g B" size)))
+    sizes;
   let ratio size =
     match (row "hcx" size, row "heidi-text" size) with
     | Some h, Some t ->

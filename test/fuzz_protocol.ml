@@ -16,6 +16,11 @@
    expected) to close, and the prover reconnects — what must never
    happen is the server dying or wedging.
 
+   A further stage negotiates HCX on the attacker's connection and
+   sends well-formed envelopes carrying hostile HCX arguments; each must
+   fail as its own request's marshal error, on a connection that keeps
+   serving.
+
    Exit status 0 = server survived everything; 1 = a probe failed. *)
 
 let usage = "fuzz_protocol [--count N] [--seed N] [--verbose]"
@@ -483,6 +488,131 @@ let run_proto ~ptag (pname, proto) =
   Orb.shutdown server
 
 (* ------------------------------------------------------------------ *)
+(* Hostile HCX payloads on a negotiated connection                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The stages above damage envelopes. This one sends well-formed HCX
+   envelopes on a connection that negotiated HCX, with hostile
+   ARGUMENTS inside: the server decodes those in the negotiated codec,
+   so each must fail only its own request — a "marshal error" system
+   exception — while the connection and the server keep serving. *)
+
+type payload_mutation =
+  | Varint_cut  (* the string-length varint ends on a continuation bit *)
+  | Length_max  (* a string length of 2^32-1 *)
+  | Version_wrong  (* a payload version byte nobody ships *)
+
+let payload_mutation_name = function
+  | Varint_cut -> "payload-varint-cut"
+  | Length_max -> "payload-length-max"
+  | Version_wrong -> "payload-version"
+
+let hostile_payload rng m =
+  let version = String.make 1 (Char.chr Wire.Hcx_codec.version) in
+  match m with
+  | Varint_cut ->
+      version
+      ^ String.init (1 + Random.State.int rng 8) (fun _ ->
+            Char.chr (0x80 + Random.State.int rng 0x80))
+  | Length_max ->
+      version ^ uvarint 0xffff_ffff ^ String.make (Random.State.int rng 16) 'x'
+  | Version_wrong ->
+      let v = Random.State.int rng 255 in
+      let v = if v >= Wire.Hcx_codec.version then v + 1 else v in
+      String.make 1 (Char.chr v) ^ uvarint 5 ^ "hello"
+
+let run_negotiated_payloads () =
+  let pname = "hcx-negotiated" in
+  let server =
+    Orb.create ~codecs:[ Orb.Protocol.hcx ] ~transport:"mem" ~host:"local"
+      ~server_policy:fuzz_policy ()
+  in
+  Orb.start server;
+  let target = Orb.export server (echo_skeleton ()) in
+  let client =
+    Orb.create ~codecs:[ Orb.Protocol.hcx ] ~transport:"mem" ~host:"local" ()
+  in
+  let check_echo tag =
+    match
+      Orb.invoke client target ~op:"echo" (fun e -> e.Wire.Codec.put_string tag)
+    with
+    | Some d when d.Wire.Codec.get_string () = "echo:" ^ tag -> ()
+    | Some _ | None -> raise (Probe_failed (pname ^ ": echo corrupted"))
+    | exception e ->
+        raise
+          (Probe_failed
+             (Printf.sprintf "%s: echo failed after fuzzing: %s" pname
+                (Printexc.to_string e)))
+  in
+  let a = connect_proto Orb.Protocol.text ~port:(Orb.port server) () in
+  let request ~req_id ~nego_offer payload =
+    Orb.Communicator.send a.comm
+      (Orb.Protocol.Request
+         {
+           req_id;
+           target;
+           operation = "echo";
+           oneway = false;
+           payload;
+           trace_ctx = "";
+           budget_us = None;
+           nego_offer;
+         });
+    Orb.Communicator.set_deadline a.comm (Some (Unix.gettimeofday () +. 2.0));
+    Fun.protect
+      ~finally:(fun () -> Orb.Communicator.set_deadline a.comm None)
+      (fun () -> Orb.Communicator.recv a.comm)
+  in
+  (* Negotiate on the attacker's connection, then switch it to HCX. *)
+  let offer =
+    let e = Orb.Protocol.text.Orb.Protocol.codec.Wire.Codec.encoder () in
+    e.Wire.Codec.put_string "hi";
+    e.Wire.Codec.finish ()
+  in
+  (match
+     request ~req_id:1
+       ~nego_offer:(Orb.Protocol.Nego.offer_of [ Orb.Protocol.hcx ])
+       offer
+   with
+  | Orb.Protocol.Reply r when r.Orb.Protocol.nego_answer <> "" ->
+      Orb.Communicator.set_protocol a.comm Orb.Protocol.hcx
+  | _ -> raise (Probe_failed (pname ^ ": the attacker did not negotiate HCX")));
+  check_echo "before";
+  let mutations = [| Varint_cut; Length_max; Version_wrong |] in
+  for i = 0 to !count - 1 do
+    let rng = Random.State.make [| !seed; 99; i |] in
+    let m = mutations.(Random.State.int rng (Array.length mutations)) in
+    let req_id = 1000 + i in
+    let fail why =
+      raise
+        (Probe_failed
+           (Printf.sprintf "%s iteration %d (%s, seed %d): %s" pname i
+              (payload_mutation_name m) !seed why))
+    in
+    if !verbose then
+      Printf.printf "[%s %4d] %s\n%!" pname i (payload_mutation_name m);
+    (match request ~req_id ~nego_offer:"" (hostile_payload rng m) with
+    | Orb.Protocol.Reply
+        { rep_id; status = Orb.Protocol.Status_system_error msg; _ }
+      when rep_id = req_id && Tutil.contains msg "marshal error" ->
+        ()
+    | _ -> fail "want this request's marshal-error reply"
+    | exception e -> fail ("connection lost: " ^ Printexc.to_string e));
+    (match probe a target ~req_id:(300_000 + i) ~deadline:2.0 with
+    | () -> ()
+    | exception e ->
+        fail ("connection stopped serving: " ^ Printexc.to_string e));
+    if i mod 50 = 49 then check_echo (Printf.sprintf "mid-%d" i)
+  done;
+  check_echo "after";
+  Printf.printf
+    "%-6s %5d hostile payloads: each failed alone, connection kept\n%!" pname
+    !count;
+  Orb.Communicator.close a.comm;
+  Orb.shutdown client;
+  Orb.shutdown server
+
+(* ------------------------------------------------------------------ *)
 (* Client-mux fuzzing: hostile locate replies and forwards             *)
 (* ------------------------------------------------------------------ *)
 
@@ -687,6 +817,7 @@ let () =
   in
   match
     List.iteri (fun ptag p -> run_proto ~ptag:(ptag + 1) p) protos;
+    run_negotiated_payloads ();
     List.iter run_client_mux protos
   with
   | () -> ()

@@ -391,6 +391,345 @@ let test_offer_holds_other_sends () =
           check_stats "client" client ~nego:1 ~fallback:0;
           check_stats "server" server ~nego:1 ~fallback:0))
 
+(* ---------------- the payload rides the connection codec ---------------- *)
+
+let text_codec = Wire.Text_codec.codec
+let hcx_codec = Wire.Hcx_codec.codec
+
+let encode_string codec s =
+  let e = codec.Wire.Codec.encoder () in
+  e.Wire.Codec.put_string s;
+  e.Wire.Codec.finish ()
+
+let decode_string codec payload =
+  (codec.Wire.Codec.decoder payload).Wire.Codec.get_string ()
+
+(* Bytes no text token survives unescaped: a payload that is not HCX
+   cannot pass for it, and the reverse. *)
+let blob = String.init 4096 (fun i -> Char.chr (i land 0xff))
+
+(* An echo reply in [codec], optionally answering an offer. *)
+let echo_reply comm (r : P.request) codec ~nego_answer =
+  Orb.Communicator.send comm
+    (P.Reply
+       {
+         P.rep_id = r.P.req_id;
+         status = P.Status_ok;
+         payload = encode_string codec ("echo:" ^ decode_string codec r.P.payload);
+         nego_answer;
+       })
+
+(* Client half: a hand-rolled peer answers the offer, switches, and
+   then decodes the next request's arguments with the HCX codec itself
+   and answers in HCX; the ORB client must have sent HCX and must decode
+   the HCX reply. *)
+let test_client_payload_in_hcx () =
+  let listener = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
+  let port = listener.Orb.Transport.bound_port in
+  let payloads = ref [] in
+  let peer =
+    Thread.create
+      (fun () ->
+        let comm = Orb.Communicator.wrap P.text (listener.Orb.Transport.accept ()) in
+        Fun.protect
+          ~finally:(fun () -> Orb.Communicator.close comm)
+          (fun () ->
+            (match Orb.Communicator.recv comm with
+            | P.Request r ->
+                payloads := r.P.payload :: !payloads;
+                echo_reply comm r text_codec ~nego_answer:(P.Nego.token P.hcx)
+            | _ -> ());
+            Orb.Communicator.set_protocol comm P.hcx;
+            match Orb.Communicator.recv comm with
+            | P.Request r ->
+                payloads := r.P.payload :: !payloads;
+                echo_reply comm r hcx_codec ~nego_answer:""
+            | _ -> ()))
+      ()
+  in
+  let client = Orb.create ~transport:"mem" ~host:"local" ~codecs:[ P.hcx ] () in
+  let target =
+    Orb.Objref.make ~proto:"mem" ~host:"local" ~port ~oid:"x" ~type_id:echo_type
+  in
+  let call s =
+    match
+      Orb.invoke client target ~op:"echo" ~timeout:5.0 (fun e ->
+          e.Wire.Codec.put_string s)
+    with
+    | Some d -> d.Wire.Codec.get_string ()
+    | None -> Alcotest.fail "expected a reply"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Orb.shutdown client;
+      listener.Orb.Transport.shutdown ())
+    (fun () ->
+      Alcotest.(check string) "offering call" "echo:x" (call "x");
+      Alcotest.(check bool) "negotiated call decodes the HCX reply" true
+        (call blob = "echo:" ^ blob);
+      Thread.join peer;
+      match List.rev !payloads with
+      | [ offering; negotiated ] ->
+          Alcotest.(check string) "offer carries text arguments" "x"
+            (decode_string text_codec offering);
+          Alcotest.(check int) "HCX arguments: version + 2-byte length + blob"
+            (1 + 2 + 4096) (String.length negotiated);
+          Alcotest.(check char) "HCX version byte" '\001' negotiated.[0];
+          check_stats "client" client ~nego:1 ~fallback:0
+      | l -> Alcotest.failf "peer saw %d requests, want 2" (List.length l))
+
+(* Server half: a hand-rolled client offers, switches, and sends HCX
+   arguments; the ORB server must decode them with HCX, answer in HCX,
+   refuse a text payload as this request's marshal error, and keep
+   serving the connection. *)
+let test_server_payload_in_hcx () =
+  let server =
+    Orb.create ~transport:"mem" ~host:"local" ~codecs:[ P.hcx ] ()
+  in
+  Orb.start server;
+  let target = Orb.export server (echo_skeleton ()) in
+  let comm =
+    Orb.Communicator.wrap P.text
+      (Orb.Transport.connect ~proto:"mem" ~host:"local" ~port:(Orb.port server))
+  in
+  let request ~req_id ?(nego_offer = "") payload =
+    Orb.Communicator.send comm
+      (P.Request
+         {
+           P.req_id;
+           target;
+           operation = "echo";
+           oneway = false;
+           payload;
+           trace_ctx = "";
+           budget_us = None;
+           nego_offer;
+         });
+    match Orb.Communicator.recv comm with
+    | P.Reply r when r.P.rep_id = req_id -> r
+    | _ -> Alcotest.fail "expected the reply to this request"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Orb.Communicator.close comm;
+      Orb.shutdown server)
+    (fun () ->
+      let r =
+        request ~req_id:1 ~nego_offer:(P.Nego.offer_of [ P.hcx ])
+          (encode_string text_codec "x")
+      in
+      Alcotest.(check string) "answer" (P.Nego.token P.hcx) r.P.nego_answer;
+      Alcotest.(check string) "offer answered in text" "echo:x"
+        (decode_string text_codec r.P.payload);
+      Orb.Communicator.set_protocol comm P.hcx;
+      let r = request ~req_id:2 (encode_string hcx_codec blob) in
+      Alcotest.(check bool) "ok" true (r.P.status = P.Status_ok);
+      Alcotest.(check char) "reply in HCX" '\001' r.P.payload.[0];
+      Alcotest.(check bool) "HCX arguments decoded" true
+        (decode_string hcx_codec r.P.payload = "echo:" ^ blob);
+      (match (request ~req_id:3 (encode_string text_codec "y")).P.status with
+      | P.Status_system_error m ->
+          Tutil.check_contains ~what:"text payload after the switch" m
+            "marshal error"
+      | _ -> Alcotest.fail "a text payload must not decode after the switch");
+      Alcotest.(check string) "connection still serves" "echo:z"
+        (decode_string hcx_codec
+           (request ~req_id:4 (encode_string hcx_codec "z")).P.payload);
+      check_stats "server" server ~nego:1 ~fallback:0)
+
+(* A server without codecs never switches: every request's arguments
+   reach it as text, offer or no offer. *)
+let test_server_without_codecs_gets_text () =
+  with_pair ~server_codecs:[] ~client_codecs:[ P.hcx ] (fun ~server ~client ->
+      let target = Orb.export server (echo_skeleton ()) in
+      let payloads = ref [] in
+      Orb.Interceptor.add
+        (Orb.server_interceptors server)
+        (Orb.Interceptor.make "capture" ~on_request:(fun r ->
+             payloads := r.P.payload :: !payloads;
+             r));
+      List.iter
+        (fun s ->
+          Alcotest.(check string) "call" ("echo:" ^ s)
+            (invoke_string client target ~op:"echo" s))
+        [ "x"; "y"; "z" ];
+      Alcotest.(check (list string)) "text arguments" [ "x"; "y"; "z" ]
+        (List.rev_map (decode_string text_codec) !payloads);
+      check_stats "client" client ~nego:0 ~fallback:1)
+
+let oops_skeleton () =
+  Orb.Skeleton.create ~type_id:echo_type
+    [
+      ("echo", fun args results ->
+          results.Wire.Codec.put_string ("echo:" ^ args.Wire.Codec.get_string ()));
+      ("oops", fun args _ ->
+          let detail = args.Wire.Codec.get_string () in
+          raise
+            (Orb.Skeleton.User_exception
+               {
+                 repo_id = "IDL:Test/Oops:1.0";
+                 encode =
+                   (fun e ->
+                     e.Wire.Codec.put_string detail;
+                     e.Wire.Codec.put_long 42);
+               }));
+    ]
+
+(* A user exception comes back in its request's codec, and
+   [Remote_exception.codec] says which: the base codec on the offering
+   request, HCX once the connection has switched. *)
+let test_user_exception_codec () =
+  with_pair ~server_codecs:[ P.hcx ] ~client_codecs:[ P.hcx ]
+    (fun ~server ~client ->
+      let target = Orb.export server (oops_skeleton ()) in
+      let raise_oops detail =
+        match
+          Orb.invoke client target ~op:"oops" (fun e ->
+              e.Wire.Codec.put_string detail)
+        with
+        | exception Orb.Remote_exception { repo_id; payload; codec } ->
+            Alcotest.(check string) "repo id" "IDL:Test/Oops:1.0" repo_id;
+            let d = codec.Wire.Codec.decoder payload in
+            let got = d.Wire.Codec.get_string () in
+            Alcotest.(check string) "members" detail got;
+            Alcotest.(check int) "code" 42 (d.Wire.Codec.get_long ());
+            codec.Wire.Codec.name
+        | _ -> Alcotest.fail "expected Remote_exception"
+      in
+      Alcotest.(check string) "offering request: base codec" "text"
+        (raise_oops "first");
+      Alcotest.(check string) "after the switch: hcx" "hcx"
+        (raise_oops "second");
+      check_stats "client" client ~nego:1 ~fallback:0)
+
+(* The arguments are marshalled after admission, so a marshal closure
+   that raises does so while its request holds the connection's offer:
+   the caller gets its own error, and the offer and the in-flight slot
+   go back, so the next call negotiates and completes. *)
+let test_marshal_failure_releases_offer () =
+  with_pair ~server_codecs:[ P.hcx ] ~client_codecs:[ P.hcx ]
+    (fun ~server ~client ->
+      let target = Orb.export server (echo_skeleton ()) in
+      (match
+         Orb.invoke client target ~op:"echo" (fun e ->
+             e.Wire.Codec.put_long 0x1_0000_0000)
+       with
+      | exception Wire.Codec.Type_error _ -> ()
+      | exception e ->
+          Alcotest.failf "expected Type_error, got %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "expected Type_error, got a reply");
+      Alcotest.(check int) "nothing in flight" 0
+        (Orb.stats client).Orb.mux_in_flight;
+      (match
+         Orb.invoke client target ~op:"echo" ~timeout:2.0 (fun e ->
+             e.Wire.Codec.put_string "x")
+       with
+      | Some d -> Alcotest.(check string) "next call" "echo:x" (d.Wire.Codec.get_string ())
+      | None -> Alcotest.fail "expected a reply");
+      check_stats "client" client ~nego:1 ~fallback:0;
+      check_stats "server" server ~nego:1 ~fallback:0)
+
+(* A replica that negotiates HCX and dies on the first request it reads
+   in HCX — after the request was sent, on a cached connection, so the
+   call may fail over. Records that request's arguments. *)
+let start_dying_hcx_replica () =
+  let listener = Orb.Transport.listen ~proto:"mem" ~host:"local" ~port:0 in
+  let hcx_args = ref None in
+  let serve chan =
+    let comm = Orb.Communicator.wrap P.text chan in
+    let rec loop () =
+      match Orb.Communicator.recv comm with
+      | P.Request r when r.P.nego_offer <> "" ->
+          echo_reply comm r text_codec ~nego_answer:(P.Nego.token P.hcx);
+          Orb.Communicator.set_protocol comm P.hcx;
+          loop ()
+      | P.Request r ->
+          hcx_args := Some (decode_string hcx_codec r.P.payload);
+          listener.Orb.Transport.shutdown ()
+      | _ -> ()
+    in
+    Fun.protect ~finally:(fun () -> Orb.Communicator.close comm) (fun () ->
+        try loop () with _ -> ())
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        let rec accept_loop () =
+          match listener.Orb.Transport.accept () with
+          | chan ->
+              ignore (Thread.create serve chan);
+              accept_loop ()
+          | exception _ -> ()
+        in
+        accept_loop ())
+      ()
+  in
+  (listener, acceptor, hcx_args)
+
+(* Failover from an HCX connection to a text-only replica re-runs the
+   marshal closure in the other codec and succeeds. Which replica a call
+   tries first is the client's draw, so calls repeat until one lands on
+   the negotiated HCX connection: that call must run its closure twice —
+   once for the dying HCX replica, once for the text replica — and
+   return the text replica's answer. *)
+let test_failover_remarshals () =
+  let listener, acceptor, hcx_args = start_dying_hcx_replica () in
+  let text_replica = Orb.create ~transport:"mem" ~host:"local" () in
+  Orb.start text_replica;
+  let text_args = ref [] in
+  Orb.Interceptor.add
+    (Orb.server_interceptors text_replica)
+    (Orb.Interceptor.make "capture" ~on_request:(fun r ->
+         text_args := r.P.payload :: !text_args;
+         r));
+  ignore (Orb.export_named text_replica ~oid:"echo" (echo_skeleton ()));
+  let target =
+    Orb.Objref.make_multi ~oid:"echo" ~type_id:echo_type
+      ~endpoints:
+        [
+          ("mem", "local", listener.Orb.Transport.bound_port);
+          ("mem", "local", Orb.port text_replica);
+        ]
+  in
+  let client = Orb.create ~transport:"mem" ~host:"local" ~codecs:[ P.hcx ] () in
+  Fun.protect
+    ~finally:(fun () ->
+      Orb.shutdown client;
+      Orb.shutdown text_replica;
+      listener.Orb.Transport.shutdown ();
+      Thread.join acceptor)
+    (fun () ->
+      let rec until_failover i =
+        if i > 64 then Alcotest.fail "no call reached the HCX connection";
+        let arg = Printf.sprintf "call-%d" i in
+        let runs = ref 0 in
+        let reply =
+          match
+            Orb.invoke client target ~op:"echo" ~timeout:5.0 (fun e ->
+                incr runs;
+                e.Wire.Codec.put_string arg)
+          with
+          | Some d -> d.Wire.Codec.get_string ()
+          | None -> Alcotest.fail "expected a reply"
+        in
+        Alcotest.(check string) "answer" ("echo:" ^ arg) reply;
+        match !hcx_args with
+        | None ->
+            Alcotest.(check int) "one codec, one marshal" 1 !runs;
+            until_failover (i + 1)
+        | Some sent ->
+            Alcotest.(check string) "HCX replica got HCX arguments" arg sent;
+            Alcotest.(check int) "marshalled once per codec" 2 !runs;
+            (match !text_args with
+            | last :: _ ->
+                Alcotest.(check string) "text replica got text arguments" arg
+                  (decode_string text_codec last)
+            | [] -> Alcotest.fail "text replica saw no request")
+      in
+      until_failover 1;
+      Alcotest.(check bool) "failed over" true
+        ((Orb.stats client).Orb.failovers >= 1))
+
 let () =
   Alcotest.run "nego"
     [
@@ -405,6 +744,21 @@ let () =
             test_busy_gate_honours_deadline;
           Alcotest.test_case "offer holds other sends" `Quick
             test_offer_holds_other_sends;
+        ] );
+      ( "payload codec",
+        [
+          Alcotest.test_case "client sends and decodes HCX" `Quick
+            test_client_payload_in_hcx;
+          Alcotest.test_case "server decodes and answers HCX" `Quick
+            test_server_payload_in_hcx;
+          Alcotest.test_case "server without codecs gets text" `Quick
+            test_server_without_codecs_gets_text;
+          Alcotest.test_case "user exception in its request's codec" `Quick
+            test_user_exception_codec;
+          Alcotest.test_case "failover re-marshals" `Quick
+            test_failover_remarshals;
+          Alcotest.test_case "marshal failure releases the offer" `Quick
+            test_marshal_failure_releases_offer;
         ] );
       ( "fallback",
         [
