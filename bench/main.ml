@@ -54,6 +54,14 @@ let table header rows =
 let heidi_mapping = Option.get (Mappings.Registry.find "heidi-cpp")
 let corba_mapping = Option.get (Mappings.Registry.find "corba-cpp")
 
+(* The worker backend an E-bench's server ran on, stamped into the
+   artifacts of the experiments that take [Pool.default_config]'s. *)
+let pool_backend (c : Orb.Pool.config) =
+  Obs.Jout.str
+    (match c.Orb.Pool.backend with
+    | Orb.Pool.Domains -> "Domains"
+    | Orb.Pool.Systhreads -> "Systhreads")
+
 let map_fn (m : Mappings.Mapping.t) name =
   Option.get (Template.Maps.find m.Mappings.Mapping.maps name)
 
@@ -648,6 +656,7 @@ let e9 ?(out = "BENCH_obs.json") ?(calls = 2000) () =
         ("experiment", Obs.Jout.str "E9");
         ("transport", Obs.Jout.str "mem");
         ("protocol", Obs.Jout.str "heidi-text");
+        ("pool_backend", pool_backend Orb.default_server_policy.Orb.pool);
         ("calls", Obs.Jout.int calls);
         ("trace_off_ns_per_call", Obs.Jout.num off_ns);
         ("trace_on_ns_per_call", Obs.Jout.num on_ns);
@@ -799,6 +808,7 @@ let e10 ?(out = "BENCH_overload.json") ?(duration = 1.5)
         ("experiment", Obs.Jout.str "E10");
         ("transport", Obs.Jout.str "mem");
         ("protocol", Obs.Jout.str "heidi-text");
+        ("pool_backend", pool_backend policy.Orb.pool);
         ("duration_s", Obs.Jout.num duration);
         ("service_ms", Obs.Jout.num service_ms);
         ( "cells",
@@ -1358,6 +1368,7 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
   let deadline_s = 0.030 in
   let workers = 2 in
   let capacity = float_of_int workers /. service_s in
+  let pool = { Orb.Pool.default_config with workers; queue_capacity = 512 } in
   let senders = 64 in
   let executed = Atomic.make 0 in
   let nap_skeleton () =
@@ -1375,12 +1386,7 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
     Atomic.set executed 0;
     let server =
       Orb.create ~transport:"mem" ~host:"local"
-        ~server_policy:
-          {
-            Orb.default_server_policy with
-            pool =
-              { Orb.Pool.default_config with workers; queue_capacity = 512 };
-          }
+        ~server_policy:{ Orb.default_server_policy with pool }
         ()
     in
     Orb.start server;
@@ -1483,6 +1489,7 @@ let e14 ?(out = "BENCH_deadline.json") ?(duration = 2.0)
       [
         ("experiment", Obs.Jout.str "E14");
         ("transport", Obs.Jout.str "mem");
+        ("pool_backend", pool_backend pool);
         ("duration_s", Obs.Jout.num duration);
         ("service_ms", Obs.Jout.num (service_s *. 1000.));
         ("deadline_ms", Obs.Jout.num (deadline_s *. 1000.));

@@ -87,8 +87,12 @@ type server_policy = {
 }
 
 val default_server_policy : server_policy
-(** [Pool.default_config] workers, unlimited connections, 64 pipelined
-    requests per connection, {!Wire.Codec.default_limits}. *)
+(** [Pool.default_config] workers (8 systhreads on the domain that
+    calls {!start}: one domain per worker made every minor GC a
+    nine-domain stop-the-world, and a bulk call cost 6009 µs of CPU
+    against 1971 µs, see {!Pool.default_config}),
+    unlimited connections, 64 pipelined requests per connection,
+    {!Wire.Codec.default_limits}. *)
 
 (** The client's connection-sharing policy (DESIGN.md "Client connection
     model"). Each cached outbound connection runs a reply

@@ -6,16 +6,23 @@
    full queue is rejected at once: the server sheds load and keeps its
    latency instead of parking the reader.
 
-   Workers come in two shapes. [Domains] (the default) runs one OCaml
-   domain per worker: CPU-bound dispatches execute in parallel on
-   separate cores instead of time-slicing one runtime lock — the model
-   bench E13 measures. [Systhreads] keeps the historical
-   one-runtime-lock pool, retained as the flatline control and for
-   configurations that want many more workers than cores (e.g. purely
-   I/O-bound servants). The queue between reader threads and workers is
-   the same either way: OCaml 5's [Mutex]/[Condition] (via [Locked])
-   synchronize threads and domains alike, so admission semantics are
-   identical across backends.
+   Workers come in two shapes. [Systhreads] (the default) runs one
+   systhread per worker on the domain that started the pool: workers
+   share its runtime lock, so they overlap waiting (I/O, sleeps) but
+   not compute. [Domains] runs one OCaml domain per worker, so
+   CPU-bound dispatches execute in parallel on separate cores — the
+   model bench E13 measures, and the documented override for
+   CPU-bound servants. It is not the default because in OCaml 5 every
+   minor collection stops every domain: a default ORB with 8 worker
+   domains ran 9 domains per process, and each of the ~2 minor GCs of
+   a bulk call paid a nine-domain stop-the-world (callbench
+   [bulk-hcx-tcp], 10 alternating pairs on a 2-core host: CPU per call
+   6009 -> 1971 us and peak RSS 20.6 -> 14.0 MiB from [Domains] to
+   [Systhreads], with the same number of collections). The queue
+   between reader threads and workers is the same either way: OCaml
+   5's [Mutex]/[Condition] (via [Locked]) synchronize threads and
+   domains alike, so admission semantics are identical across
+   backends.
 
    The one deadline-bounded wait, [drain], is a plain condition loop
    over [Locked.wait_until_c], the runtime's one timed wait. *)
@@ -28,7 +35,7 @@ type config = {
   backend : backend;
 }
 
-let default_config = { workers = 8; queue_capacity = 64; backend = Domains }
+let default_config = { workers = 8; queue_capacity = 64; backend = Systhreads }
 
 (* A queued job and what to do with it if the pool is stopped before a
    worker picks it up. The cancel callback must answer the peer (a

@@ -5,9 +5,9 @@
     fixed set of workers executes them. The pending queue is bounded:
     a submit against a full queue fails immediately, so the server
     answers ["overloaded"] and stays responsive. The {!backend} decides
-    what a worker is: an OCaml domain (parallel dispatch, the default)
-    or a systhread (one shared runtime lock, kept as the E13 control
-    and for I/O-bound workloads that want more workers than cores). *)
+    what a worker is: a systhread (one shared runtime lock, the
+    default) or an OCaml domain (parallel dispatch, the override for
+    CPU-bound servants). *)
 
 type backend =
   | Systhreads
@@ -26,7 +26,14 @@ type config = {
 }
 
 val default_config : config
-(** 8 workers, 64 queued requests, [Domains]. *)
+(** 8 workers, 64 queued requests, [Systhreads]. Not [Domains], because
+    in OCaml 5 every minor collection stops every domain: with 8 worker
+    domains each minor GC of a call was a nine-domain stop-the-world.
+    On a 2-core host, callbench [bulk-hcx-tcp] (10 alternating pairs)
+    measured 6009 µs of CPU per call on [Domains] against 1971 µs on
+    [Systhreads], with the same number of minor collections. Set
+    [backend = Domains] for CPU-bound servants that should run in
+    parallel (bench E13). *)
 
 type t
 

@@ -176,27 +176,15 @@ let make_decoder_view (limits : Codec.limits) payload ~off ~len : Codec.decoder 
   in
   let get32_le what =
     need 4 what;
-    let v = ref 0l in
-    for i = 3 downto 0 do
-      v :=
-        Int32.logor
-          (Int32.shift_left !v 8)
-          (Int32.of_int (Char.code (String.unsafe_get payload (!pos + i))))
-    done;
+    let v = String.get_int32_le payload !pos in
     pos := !pos + 4;
-    !v
+    v
   in
   let get64_le what =
     need 8 what;
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      v :=
-        Int64.logor
-          (Int64.shift_left !v 8)
-          (Int64.of_int (Char.code (String.unsafe_get payload (!pos + i))))
-    done;
+    let v = String.get_int64_le payload !pos in
     pos := !pos + 8;
-    !v
+    v
   in
   let ranged what max_v =
     let v = get_uvarint what in

@@ -210,10 +210,17 @@ let is_hex s =
   s <> ""
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
+(* The experiments whose server takes [Pool.default_config]'s backend
+   say which one they ran on. *)
+let check_pool_backend root =
+  let b = want_str root "pool_backend" in
+  check (b = "Domains" || b = "Systhreads") "pool_backend must be Domains|Systhreads"
+
 (* ---------------- E9: observability overhead ---------------- *)
 
 let check_e9 path root =
   ignore (want_str root "transport");
+  check_pool_backend root;
     ignore (want_str root "protocol");
     check (want_num root "calls" > 0.) "calls must be > 0";
     let off = want_num root "trace_off_ns_per_call" in
@@ -272,6 +279,7 @@ let check_e9 path root =
 
 let check_e10 path root =
   ignore (want_str root "transport");
+  check_pool_backend root;
   ignore (want_str root "protocol");
   check (want_num root "duration_s" > 0.) "duration_s must be > 0";
   check (want_num root "service_ms" > 0.) "service_ms must be > 0";
@@ -514,6 +522,7 @@ let check_e12 path root =
 
 let check_e14 path root =
   ignore (want_str root "transport");
+  check_pool_backend root;
   check (want_num root "duration_s" > 0.) "duration_s must be > 0";
   check (want_num root "service_ms" > 0.) "service_ms must be > 0";
   check

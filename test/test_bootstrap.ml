@@ -84,7 +84,7 @@ let test_bind_before_serve_fails () =
 
 let test_concurrent_remote_binds () =
   (* The registry is mutated from pool workers (remote binds, on worker
-     domains by default) and from the application thread ([B.bind]):
+     systhreads by default) and from the application thread ([B.bind]):
      every bind must land, and the armed lock checker must stay quiet. *)
   let was = Locked.checking () in
   Locked.set_checking true;

@@ -299,6 +299,59 @@ let test_hcx_decoder_view () =
   Alcotest.(check string) "string through view" "view" (d.Wire.Codec.get_string ());
   Alcotest.(check bool) "view ends at frame end" true (d.Wire.Codec.at_end ())
 
+let test_hcx_fixed_width_edges () =
+  (* Floats and doubles are fixed-width little-endian bit copies: every
+     edge pattern — both zeros, both infinities, subnormals, max and
+     quiet NaNs with sign and payload bits — must come back bit for
+     bit, read at odd offsets of a larger buffer. *)
+  let floats =
+    [ 0x00000000l; 0x80000000l; 0x7f800000l; 0xff800000l; 0x00000001l;
+      0x807fffffl; 0x7f7fffffl; 0xff7fffffl; 0x7fc00000l; 0xffc00001l;
+      0x7fffffffl ]
+  in
+  let doubles =
+    [ 0L; Int64.min_int; 0x7ff0000000000000L; 0xfff0000000000000L; 1L;
+      0x800fffffffffffffL; 0x7fefffffffffffffL; 0xffefffffffffffffL;
+      0x7ff8000000000000L; 0xfff8000000000001L; Int64.max_int ]
+  in
+  let e = hcx.Wire.Codec.encoder () in
+  List.iter (fun b -> e.Wire.Codec.put_float (Int32.float_of_bits b)) floats;
+  List.iter (fun b -> e.Wire.Codec.put_double (Int64.float_of_bits b)) doubles;
+  let frame = e.Wire.Codec.finish () in
+  let d =
+    Wire.Hcx_codec.make_decoder_view Wire.Codec.default_limits
+      ("JNK" ^ frame ^ "T") ~off:3 ~len:(String.length frame)
+  in
+  List.iter
+    (fun b ->
+      Alcotest.(check int32) (Printf.sprintf "float 0x%08lx" b) b
+        (Int32.bits_of_float (d.Wire.Codec.get_float ())))
+    floats;
+  List.iter
+    (fun b ->
+      Alcotest.(check int64) (Printf.sprintf "double 0x%016Lx" b) b
+        (Int64.bits_of_float (d.Wire.Codec.get_double ())))
+    doubles;
+  Alcotest.(check bool) "view ends at frame end" true (d.Wire.Codec.at_end ());
+  (* A short tail is truncation even when the underlying buffer has
+     bytes past the view: the bounds check is the view's, not the
+     string's. *)
+  let truncated what tail get =
+    let d =
+      Wire.Hcx_codec.make_decoder_view Wire.Codec.default_limits
+        ("J\001" ^ tail ^ "TRAILER") ~off:1 ~len:(1 + String.length tail)
+    in
+    match get d with
+    | exception Wire.Codec.Type_error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" what msg)
+          true
+          (Tutil.contains msg "truncated HCX payload")
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  truncated "3-byte float tail" "abc" (fun d -> d.Wire.Codec.get_float ());
+  truncated "7-byte double tail" "abcdefg" (fun d -> d.Wire.Codec.get_double ())
+
 (* ---------------- decode limits ---------------- *)
 
 let test_nesting_depth_pinned () =
@@ -437,6 +490,8 @@ let () =
             test_hcx_truncated_varint;
           Alcotest.test_case "hostile lengths" `Quick test_hcx_hostile_lengths;
           Alcotest.test_case "decoder view" `Quick test_hcx_decoder_view;
+          Alcotest.test_case "fixed-width edges" `Quick
+            test_hcx_fixed_width_edges;
           Alcotest.test_case "nesting depth pinned" `Quick
             test_nesting_depth_pinned;
         ] );

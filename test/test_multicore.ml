@@ -13,7 +13,14 @@
      identical Thread.ids on different domains must not merge stacks
      into phantom Rank_violations.
    - Cancel-on-stop: an ORB shutdown with requests queued-but-not-run
-     must answer them with a system-error reply, not silent discard. *)
+     must answer them with a system-error reply, not silent discard.
+   - Backend placement: the default pool runs a servant on systhreads
+     of the domain that started the server; [Domains] runs it on a
+     worker domain.
+
+   The pool cases pin [backend = Domains]: under the default
+   ([Systhreads]) the overlap rendezvous would still pass, through tick
+   preemption, without any parallelism to test. *)
 
 let n_domains = 4
 
@@ -104,7 +111,7 @@ let test_trace_ids_unique_across_domains () =
 let test_pool_jobs_overlap () =
   let pool =
     Orb.Pool.create
-      { Orb.Pool.default_config with workers = 2; queue_capacity = 8 }
+      { Orb.Pool.workers = 2; queue_capacity = 8; backend = Orb.Pool.Domains }
   in
   let arrived = Atomic.make 0 in
   let saw_both = Atomic.make 0 in
@@ -210,7 +217,7 @@ let test_shutdown_answers_queued_requests () =
         {
           Orb.default_server_policy with
           pool =
-            { Orb.Pool.default_config with workers = 1; queue_capacity = 8 };
+            { Orb.Pool.workers = 1; queue_capacity = 8; backend = Orb.Pool.Domains };
         }
       ()
   in
@@ -257,6 +264,46 @@ let test_shutdown_answers_queued_requests () =
     [ 1; 2 ];
   Orb.shutdown client
 
+(* ---------------- ORB: which domain runs the servant ----------------- *)
+
+let servant_domain pool =
+  Orb.Transport.mem_reset ();
+  let server =
+    Orb.create ~transport:"mem" ~host:"local"
+      ~server_policy:{ Orb.default_server_policy with pool }
+      ()
+  in
+  Orb.start server;
+  let target =
+    Orb.export server
+      (Orb.Skeleton.create ~type_id:"IDL:Test/Where:1.0"
+         [
+           ( "where",
+             fun _ results -> results.Wire.Codec.put_long (Locked.domain_id ())
+           );
+         ])
+  in
+  let client = Orb.create ~transport:"mem" ~host:"local" () in
+  Fun.protect
+    ~finally:(fun () ->
+      Orb.shutdown client;
+      Orb.shutdown server)
+    (fun () ->
+      match Orb.invoke client target ~op:"where" (fun _ -> ()) with
+      | Some d -> d.Wire.Codec.get_long ()
+      | None -> Alcotest.fail "two-way call got no reply")
+
+let test_default_pool_runs_on_caller_domain () =
+  Alcotest.(check int) "default policy: servant on the main domain" 0
+    (servant_domain Orb.default_server_policy.Orb.pool);
+  let on_domains =
+    servant_domain
+      { Orb.Pool.workers = 1; queue_capacity = 8; backend = Orb.Pool.Domains }
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Domains backend: servant on a worker domain (%d)" on_domains)
+    true (on_domains <> 0)
+
 let () =
   Alcotest.run "multicore"
     [
@@ -273,6 +320,8 @@ let () =
             test_pool_jobs_overlap;
           Alcotest.test_case "shutdown answers queued requests" `Quick
             test_shutdown_answers_queued_requests;
+          Alcotest.test_case "default pool runs on the caller's domain" `Quick
+            test_default_pool_runs_on_caller_domain;
         ] );
       ( "checker",
         [
